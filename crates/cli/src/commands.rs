@@ -5,8 +5,8 @@ use prsim_core::{
     DynamicParams, DynamicPrsim, HubCount, Prsim, PrsimConfig, PrsimIndex, QueryParams, UpdateMode,
 };
 use prsim_gen::{
-    barabasi_albert, chung_lu_directed, chung_lu_undirected, erdos_renyi_directed,
-    planted_partition, ChungLuConfig,
+    barabasi_albert, erdos_renyi_directed, planted_partition, try_chung_lu_directed,
+    try_chung_lu_undirected, ChungLuConfig,
 };
 use prsim_graph::degrees::{degree_stats, powerlaw_exponent_ccdf_fit, DegreeKind};
 use prsim_graph::io::{read_binary_file, read_edge_list_file};
@@ -14,6 +14,7 @@ use prsim_graph::DiGraph;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::Path;
+use std::process::ExitCode;
 
 use crate::args::Args;
 
@@ -76,7 +77,9 @@ USAGE:
       same way), --max-line-bytes per request line, --client-timeout-ms
       drops clients that stall. SIGTERM/SIGINT drains gracefully: stop
       accepting, finish in-flight work, final checkpoint, clean WAL
-      close, exit 0 — all within --drain-timeout-ms (default 5000).
+      close, exit 0 — all within --drain-timeout-ms (default 5000). A
+      drain that cannot write the final checkpoint prints why and
+      exits 3: nothing acked is lost, the next boot replays the WAL.
       A background scrubber re-verifies at-rest checksums every
       --scrub-interval-ms (default 1000; --no-scrub disables), healing
       rot where a redundant copy exists and degrading health otherwise.
@@ -154,12 +157,13 @@ pub fn generate(argv: &[String]) -> Result<(), String> {
             let d: f64 = args.get_parsed("avg-degree", 10.0)?;
             let gamma: f64 = args.get_parsed("gamma", 2.0)?;
             let cfg = ChungLuConfig::new(n, d, gamma, seed);
-            if model == "chung-lu" {
-                chung_lu_undirected(cfg)
+            let g = if model == "chung-lu" {
+                try_chung_lu_undirected(cfg)
             } else {
                 let gamma_in: f64 = args.get_parsed("gamma-in", gamma)?;
-                chung_lu_directed(cfg, gamma_in, seed.wrapping_add(1))
-            }
+                try_chung_lu_directed(cfg, gamma_in, seed.wrapping_add(1))
+            };
+            g.map_err(|e| e.to_string())?
         }
         "ba" => {
             let n: usize = args.require_parsed("n")?;
@@ -614,9 +618,14 @@ pub fn update(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// Exit status of a `prsim serve` that drained on SIGTERM/SIGINT but
+/// wrote no final checkpoint: nothing acked is lost, but the next boot
+/// replays the WAL past the last checkpoint.
+pub const EXIT_DRAINED_REPLAY_NEEDED: u8 = 3;
+
 /// `prsim serve` — resident engine over a durable WAL, speaking the
 /// line protocol on stdin/stdout or TCP.
-pub fn serve(argv: &[String]) -> Result<(), String> {
+pub fn serve(argv: &[String]) -> Result<ExitCode, String> {
     let args = Args::parse(argv);
     let path = args
         .positional
@@ -745,23 +754,33 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
             if summary.shutdown_requested {
                 // The `shutdown` verb keeps its historical semantics: the
                 // queue is already drained by the applier's own stop path.
-                host.shutdown().map_err(|e| e.to_string())
+                host.shutdown()
+                    .map(|()| ExitCode::SUCCESS)
+                    .map_err(|e| e.to_string())
             } else {
                 // External signal: graceful drain — finish committed
-                // work, final checkpoint, clean close, exit 0.
-                let drained = host
-                    .drain(conn_opts.drain_timeout)
-                    .map_err(|e| e.to_string())?;
-                match drained {
-                    Some(info) => eprintln!(
-                        "drained: final checkpoint lsn={} bytes={}",
-                        info.lsn, info.bytes
-                    ),
-                    None => eprintln!("drained: no final checkpoint (timeout or degraded)"),
+                // work, final checkpoint, clean close, exit 0. Without
+                // the final checkpoint the exit status says the next
+                // boot replays the WAL.
+                match host.drain(conn_opts.drain_timeout) {
+                    Ok(info) => {
+                        eprintln!(
+                            "drained: final checkpoint lsn={} bytes={}",
+                            info.lsn, info.bytes
+                        );
+                        Ok(ExitCode::SUCCESS)
+                    }
+                    Err(e) => {
+                        eprintln!(
+                            "drained: no final checkpoint, the next boot replays the WAL: {e}"
+                        );
+                        Ok(ExitCode::from(EXIT_DRAINED_REPLAY_NEEDED))
+                    }
                 }
-                Ok(())
             }
         }
-        None => prsim_server::protocol::serve_stdio(&host).map_err(|e| e.to_string()),
+        None => prsim_server::protocol::serve_stdio(&host)
+            .map(|()| ExitCode::SUCCESS)
+            .map_err(|e| e.to_string()),
     }
 }

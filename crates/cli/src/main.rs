@@ -34,7 +34,10 @@ fn main() -> ExitCode {
         "topk" => commands::topk(rest),
         "pair" => commands::pair(rest),
         "update" => commands::update(rest),
-        "serve" => commands::serve(rest),
+        "serve" => match commands::serve(rest) {
+            Ok(code) => return code,
+            Err(msg) => Err(msg),
+        },
         "help" | "--help" | "-h" => {
             println!("{}", commands::USAGE);
             Ok(())

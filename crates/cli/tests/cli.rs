@@ -317,6 +317,40 @@ fn generate_all_models() {
 }
 
 #[test]
+fn generate_rejects_out_of_domain_chung_lu_parameters() {
+    let dir = tmpdir("gen_invalid");
+    let graph = dir.join("g.txt");
+    let out_path = graph.to_str().unwrap();
+    let cases: &[(&[&str], &str)] = &[
+        (&["chung-lu", "--n", "0"], "n must be positive, got 0"),
+        (
+            &["chung-lu", "--n", "50", "--avg-degree", "0"],
+            "avg_degree must be finite and positive, got 0",
+        ),
+        (
+            &["chung-lu", "--n", "50", "--gamma", "0"],
+            "gamma must be positive, got 0",
+        ),
+        (
+            &["chung-lu-directed", "--n", "50", "--gamma-in", "0"],
+            "gamma_in must be positive, got 0",
+        ),
+    ];
+    for (params, message) in cases {
+        let mut args = vec!["generate"];
+        args.extend_from_slice(params);
+        args.extend_from_slice(&["--out", out_path]);
+        let out = prsim(&args);
+        let err = stderr(&out);
+        // A usage error, not a panic (which exits 101).
+        assert_eq!(out.status.code(), Some(1), "{params:?}: {err}");
+        assert_eq!(err.lines().count(), 1, "{params:?}: one line, got {err:?}");
+        assert!(err.contains(message), "{params:?}: {err}");
+        assert!(!graph.exists(), "{params:?}: no output on a usage error");
+    }
+}
+
+#[test]
 fn corrupt_index_is_reported_not_panicked() {
     let dir = tmpdir("corrupt");
     let graph = dir.join("g.txt");

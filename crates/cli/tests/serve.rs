@@ -60,13 +60,23 @@ fn spawn_tcp_server(graph: &str, wal: &Path) -> (Child, String) {
 /// [`spawn_tcp_server`] with extra serve flags (chaos hooks, queue
 /// bounds) appended.
 fn spawn_tcp_server_with(graph: &str, wal: &Path, extra: &[&str]) -> (Child, String) {
+    spawn_server(graph, wal, extra, Stdio::null())
+}
+
+/// [`spawn_tcp_server_with`] keeping the server's stderr log, which
+/// `wait_with_output` collects once the server exits.
+fn spawn_tcp_server_logged(graph: &str, wal: &Path, extra: &[&str]) -> (Child, String) {
+    spawn_server(graph, wal, extra, Stdio::piped())
+}
+
+fn spawn_server(graph: &str, wal: &Path, extra: &[&str], stderr: Stdio) -> (Child, String) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_prsim"))
         .args(["serve", graph, "--wal", wal.to_str().unwrap()])
         .args(ENGINE_FLAGS)
         .args(["--segment-bytes", "4096", "--listen", "127.0.0.1:0"])
         .args(extra)
         .stdout(Stdio::piped())
-        .stderr(Stdio::null())
+        .stderr(stderr)
         .spawn()
         .expect("server spawns");
     let stdout = child.stdout.take().expect("stdout piped");
@@ -290,9 +300,13 @@ fn sigterm_drains_to_a_bit_identical_clean_state() {
 
     // Phase 1: stream updates, then SIGTERM. Unlike the SIGKILL gate,
     // *everything* acked must survive: the drain finishes the committed
-    // queue, writes a final checkpoint and exits 0.
+    // queue, writes a final checkpoint and exits 0. The drain budget is
+    // sized for a loaded debug build (applying the 20 queued updates
+    // there takes several seconds), so the test checks the drain's
+    // outcome rather than racing its clock.
     const SENT: usize = 20;
-    let (mut server, addr) = spawn_tcp_server(&graph, &wal_drain);
+    let (server, addr) =
+        spawn_tcp_server_logged(&graph, &wal_drain, &["--drain-timeout-ms", "120000"]);
     let mut client = ProtocolClient::connect(&addr);
     for i in 0..SENT {
         let ack = client.request(&update_line(i));
@@ -304,8 +318,17 @@ fn sigterm_drains_to_a_bit_identical_clean_state() {
         .status()
         .expect("kill runs");
     assert!(status.success(), "SIGTERM delivered");
-    let exit = server.wait().expect("reaped");
-    assert!(exit.success(), "graceful drain must exit 0, got {exit:?}");
+    let out = server.wait_with_output().expect("reaped");
+    let log = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        out.status.success(),
+        "graceful drain must exit 0, got {:?}: {log}",
+        out.status
+    );
+    assert!(
+        log.contains(&format!("drained: final checkpoint lsn={SENT} ")),
+        "the drain must report its final checkpoint: {log}"
+    );
 
     // Phase 2: restart over the drained WAL. The final checkpoint
     // covers every acked update, so replay is empty and nothing is

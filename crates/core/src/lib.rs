@@ -81,7 +81,7 @@ pub use dynamic::{DynamicPrsim, DynamicTotals, UpdateMode, UpdateStats};
 pub use index::{HubTouchSets, IndexStats, Postings, PrsimIndex, ReservePrecision};
 pub use paging::{BufferPool, PageScrub, PagedOptions, PagingStats, PostingsScratch};
 pub use query::{Prsim, QueryStats};
-pub use scores::SimRankScores;
+pub use scores::{SimRankScores, TopEntries};
 pub use topk::{TopKParams, TopKResult};
 pub use walkcache::WalkCache;
 pub use workspace::QueryWorkspace;

@@ -67,7 +67,7 @@ use rand::{Rng, SeedableRng};
 use crate::config::{PrsimConfig, QueryPlan};
 use crate::index::{Postings, PrsimIndex};
 use crate::pagerank::{rank_by_pagerank, reverse_pagerank};
-use crate::scores::SimRankScores;
+use crate::scores::{select_top_k, SimRankScores, TopEntries};
 use crate::vbbw::{
     variance_bounded_backward_walk_fold_with_workspace,
     variance_bounded_backward_walk_with_workspace,
@@ -567,6 +567,46 @@ impl Prsim {
         }
     }
 
+    /// The served form of
+    /// [`Prsim::try_single_source_with_deadline_with_workspace`]: the
+    /// `k` best entries and the entry count ([`TopEntries`]), without
+    /// building the score vector where possible.
+    ///
+    /// An untimed query on the fused plan selects straight from the
+    /// dense accumulator: no radix drain and no allocation of the
+    /// full-length entry vector. The reference plan and deadline
+    /// queries assemble the full vector and rank it. Either way the
+    /// result is `top_k(k)` and `len()` of the full-vector query on the
+    /// same RNG stream, and the stats are the same.
+    pub fn try_single_source_top_k_with_workspace<R: Rng + ?Sized>(
+        &self,
+        u: NodeId,
+        k: usize,
+        timeout: Option<Duration>,
+        ws: &mut QueryWorkspace,
+        rng: &mut R,
+    ) -> Result<(TopEntries, QueryStats), PrsimError> {
+        if timeout.is_some() || self.query_plan() == QueryPlan::Reference {
+            let (scores, stats) =
+                self.try_single_source_with_deadline_with_workspace(u, timeout, ws, rng)?;
+            let top = scores.top_k(k);
+            return Ok((
+                TopEntries {
+                    top,
+                    len: scores.len(),
+                },
+                stats,
+            ));
+        }
+        let stats = self.accumulate_fused(u, self.dr, self.fr, ws, rng)?;
+        let acc = &ws.acc;
+        let top = TopEntries {
+            top: select_top_k(acc.iter(), acc.len(), k, u),
+            len: acc.len() + usize::from(!acc.contains(u)),
+        };
+        Ok((top, stats))
+    }
+
     /// The query plan this engine actually runs: the configured
     /// [`QueryPlan`], with `Auto` resolved to `Fused` while the postings
     /// arena is memory-resident (see [`PrsimIndex::is_resident`]) and
@@ -631,6 +671,27 @@ impl Prsim {
         ws: &mut QueryWorkspace,
         rng: &mut R,
     ) -> Result<(SimRankScores, QueryStats), PrsimError> {
+        let stats = self.accumulate_fused(u, dr, fr, ws, rng)?;
+        // Final assembly: the accumulator already holds ŝ = ŝ_B + ŝ_I;
+        // the terminal drain runs the touched-id radix sort with the
+        // value gather fused into its last pass.
+        let mut entries = Vec::new();
+        ws.acc.drain_sorted_into(&mut entries);
+        let scores = SimRankScores::from_sorted_entries(u, self.graph.node_count(), entries);
+        Ok((scores, stats))
+    }
+
+    /// The fused plan up to its final assembly: every sampling and
+    /// folding phase of [`Prsim::run_query_fused`], leaving
+    /// `ŝ = ŝ_B + ŝ_I` (source diagonal not yet set) in `ws.acc`.
+    fn accumulate_fused<R: Rng + ?Sized>(
+        &self,
+        u: NodeId,
+        dr: usize,
+        fr: usize,
+        ws: &mut QueryWorkspace,
+        rng: &mut R,
+    ) -> Result<QueryStats, PrsimError> {
         let n = self.graph.node_count();
         if u as usize >= n {
             return Err(PrsimError::NodeOutOfRange { node: u, n });
@@ -843,13 +904,7 @@ impl Prsim {
             }
         }
 
-        // Final assembly: the accumulator already holds ŝ = ŝ_B + ŝ_I;
-        // the terminal drain runs the touched-id radix sort with the
-        // value gather fused into its last pass.
-        let mut entries = Vec::new();
-        acc.drain_sorted_into(&mut entries);
-        let scores = SimRankScores::from_sorted_entries(u, n, entries);
-        Ok((scores, stats))
+        Ok(stats)
     }
 
     /// The reference query plan ([`QueryPlan::Reference`]): the
@@ -1692,6 +1747,52 @@ mod tests {
         assert!(exercised.index_entries > 0, "no index entries scanned");
         assert!(exercised.cached_terminals > 0, "no cache hits");
         assert!(exercised.cached_eta > 0, "no cached eta verdicts");
+    }
+
+    #[test]
+    fn served_top_k_matches_the_full_vector_on_every_path() {
+        // The served top-k must be exactly `top_k(k)` and `len()` of the
+        // full-vector query on the same RNG stream: the fused plan's
+        // accumulator scan (single round and median trick) as well as
+        // the reference-plan and deadline fallbacks.
+        let g = prsim_gen::chung_lu_undirected(prsim_gen::ChungLuConfig::new(400, 6.0, 2.0, 29));
+        let rounds = PrsimConfig {
+            query: QueryParams::Explicit { dr: 300, fr: 3 },
+            ..cfg(0.1)
+        };
+        let mut ws = QueryWorkspace::new();
+        for config in [cfg(0.1), rounds] {
+            let mut engine = Prsim::build(g.clone(), config).unwrap();
+            for plan in [QueryPlan::Fused, QueryPlan::Reference] {
+                engine.set_query_plan(plan);
+                for timeout in [None, Some(Duration::from_secs(60))] {
+                    for (i, u) in [0u32, 9, 123, 399].into_iter().enumerate() {
+                        let k = [0, 1, 10, usize::MAX][i];
+                        let seed = 7 * u64::from(u) + 1;
+                        let mut rng = StdRng::seed_from_u64(seed);
+                        let (scores, full) = engine
+                            .try_single_source_with_deadline(u, timeout, &mut rng)
+                            .unwrap();
+                        let mut rng = StdRng::seed_from_u64(seed);
+                        let (served, stats) = engine
+                            .try_single_source_top_k_with_workspace(
+                                u, k, timeout, &mut ws, &mut rng,
+                            )
+                            .unwrap();
+                        let at = format!("{plan:?}, timeout {timeout:?}, source {u}, k {k}");
+                        assert_eq!(served.top, scores.top_k(k), "{at}");
+                        assert_eq!(served.len, scores.len(), "{at}");
+                        assert_eq!(stats, full, "{at}");
+                    }
+                }
+            }
+        }
+        let engine = Prsim::build(g, cfg(0.1)).unwrap();
+        let mut rng = StdRng::seed_from_u64(1);
+        assert!(matches!(
+            engine.try_single_source_top_k_with_workspace(400, 5, None, &mut ws, &mut rng),
+            Err(PrsimError::NodeOutOfRange { node: 400, n: 400 })
+        ));
     }
 
     #[test]

@@ -1,7 +1,96 @@
 //! Sparse single-source SimRank result vectors.
 
 use prsim_graph::NodeId;
-use std::collections::HashMap;
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, HashMap};
+
+/// The ranking order of [`SimRankScores::top_k`]: descending score,
+/// then ascending node id. Scores compare with `partial_cmp`, so `-0.0`
+/// and `0.0` tie (and fall through to the node id).
+fn rank_cmp(a: &(NodeId, f64), b: &(NodeId, f64)) -> Ordering {
+    b.1.partial_cmp(&a.1)
+        .unwrap_or(Ordering::Equal)
+        .then(a.0.cmp(&b.0))
+}
+
+/// The `k` best of `entries` by [`rank_cmp`], `source` excluded, in
+/// ranking order: the selection behind [`SimRankScores::top_k`] and the
+/// engine's served top-k, which scans its accumulator in touched order.
+/// The result does not depend on the input order (the ranking is a
+/// total order on NaN-free scores, since node ids are unique). `len`
+/// bounds the number of entries, so the heap allocates at most
+/// `min(k, len)` slots.
+pub(crate) fn select_top_k(
+    entries: impl Iterator<Item = (NodeId, f64)>,
+    len: usize,
+    k: usize,
+    source: NodeId,
+) -> Vec<(NodeId, f64)> {
+    let mut heap = BinaryHeap::with_capacity(k.min(len));
+    // Score of the worst kept entry once `k` are kept: an entry scoring
+    // strictly below it ranks after it, so one float compare rejects
+    // the bulk of the entries.
+    let mut floor = f64::NEG_INFINITY;
+    for (v, s) in entries {
+        if s < floor || v == source {
+            continue;
+        }
+        let entry = Ranked((v, s));
+        if heap.len() < k {
+            heap.push(entry);
+        } else if let Some(mut worst) = heap.peek_mut() {
+            if entry < *worst {
+                *worst = entry;
+            }
+        }
+        if heap.len() == k {
+            floor = heap.peek().map_or(floor, |worst| worst.0 .1);
+        }
+    }
+    heap.into_sorted_vec()
+        .into_iter()
+        .map(|Ranked(e)| e)
+        .collect()
+}
+
+/// A served single-source answer: the best entries of a score vector
+/// and its size, without the vector itself
+/// ([`crate::Prsim::try_single_source_top_k_with_workspace`]).
+#[derive(Clone, Debug, PartialEq)]
+pub struct TopEntries {
+    /// The best entries, ranked as [`SimRankScores::top_k`] ranks them:
+    /// descending score, ties by ascending node id, source excluded.
+    pub top: Vec<(NodeId, f64)>,
+    /// Entries the full score vector stores, the source included
+    /// ([`SimRankScores::len`]).
+    pub len: usize,
+}
+
+/// A `(v, score)` entry ordered by [`rank_cmp`]: the better-ranked
+/// entry is the *smaller* one, so a max-heap of them keeps the worst
+/// selected entry on top, ready to be displaced.
+#[derive(Clone, Copy, Debug)]
+struct Ranked((NodeId, f64));
+
+impl PartialEq for Ranked {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Ranked {}
+
+impl PartialOrd for Ranked {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Ranked {
+    fn cmp(&self, other: &Self) -> Ordering {
+        rank_cmp(&self.0, &other.0)
+    }
+}
 
 /// Result of a single-source SimRank query: sparse scores `ŝ(u, ·)`.
 ///
@@ -148,22 +237,17 @@ impl SimRankScores {
     }
 
     /// The `k` highest-scoring nodes **excluding the source** (whose score
-    /// is trivially 1), sorted by descending score with node-id
-    /// tie-breaking — the ranking used for Precision@k and pooling.
+    /// is trivially 1), sorted by descending score with ascending node-id
+    /// tie-breaking — the ranking used for Precision@k, pooling and the
+    /// served `query … top=K` reply.
+    ///
+    /// One pass over the stored entries through a `k`-bounded heap: no
+    /// copy of the entries, `O(len · log k)` time, and an allocation of
+    /// at most `min(k, len)` slots, so a huge `k` costs no more than
+    /// `k = len`. The order is the same as a stable full sort under the
+    /// same comparator truncated to `k`, for any NaN-free scores.
     pub fn top_k(&self, k: usize) -> Vec<(NodeId, f64)> {
-        let mut entries: Vec<(NodeId, f64)> = self
-            .entries
-            .iter()
-            .copied()
-            .filter(|&(v, _)| v != self.source)
-            .collect();
-        entries.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.0.cmp(&b.0))
-        });
-        entries.truncate(k);
-        entries
+        select_top_k(self.iter(), self.entries.len(), k, self.source)
     }
 
     /// Materializes the dense score vector of length `n`.
@@ -247,6 +331,43 @@ mod tests {
         assert_eq!(top[1].0, 3);
         assert_eq!(top[2].0, 1);
         assert!(s.top_k(100).len() == 4);
+        assert!(s.top_k(0).is_empty());
+        assert_eq!(s.top_k(usize::MAX).len(), 4);
+    }
+
+    /// The pre-heap implementation: a stable full sort, truncated.
+    fn full_sort_top_k(s: &SimRankScores, k: usize) -> Vec<(NodeId, f64)> {
+        let mut entries: Vec<(NodeId, f64)> = s.iter().filter(|&(v, _)| v != s.source()).collect();
+        entries.sort_by(|a, b| {
+            b.1.partial_cmp(&a.1)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.0.cmp(&b.0))
+        });
+        entries.truncate(k);
+        entries
+    }
+
+    #[test]
+    fn top_k_matches_a_full_sort_under_heavy_ties() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        for trial in 0..50u32 {
+            let n = 1 + rng.gen_range(0..400usize);
+            let source = rng.gen_range(0..n as NodeId);
+            // A handful of distinct values (signed zeros included), so
+            // most selections cut through a run of tied scores.
+            let levels = [0.5, 0.25, 0.125, 0.0, -0.0, 1e-9, 0.25 + 1e-12];
+            let mut pairs = Vec::new();
+            for v in 0..n as NodeId {
+                if rng.gen_bool(0.7) {
+                    pairs.push((v, levels[rng.gen_range(0..levels.len())]));
+                }
+            }
+            let s = SimRankScores::from_pairs(source, n, pairs.len(), pairs);
+            for k in [0, 1, 2, 7, s.len() - 1, s.len(), s.len() + 3, usize::MAX] {
+                assert_eq!(s.top_k(k), full_sort_top_k(&s, k), "trial {trial}, k = {k}");
+            }
+        }
     }
 
     #[test]

@@ -214,6 +214,12 @@ impl DenseScratch {
         }
     }
 
+    /// Whether `v` has a live entry in this generation.
+    #[inline]
+    pub fn contains(&self, v: NodeId) -> bool {
+        matches!(self.slots.get(v as usize), Some(slot) if slot.stamp == self.epoch)
+    }
+
     /// Number of live entries in this generation.
     #[inline]
     pub fn len(&self) -> usize {
@@ -243,8 +249,9 @@ impl DenseScratch {
     }
 
     /// Iterates live `(v, value)` pairs in touched-list order. The slot
-    /// gather is random (touched order is id order, slots are dense), so
-    /// each probe is issued a fixed distance ahead of its demand read.
+    /// gather is random (slots are dense; touched order is insertion
+    /// order, or id order after [`Self::sort_touched`]), so each probe is
+    /// issued a fixed distance ahead of its demand read.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, f64)> + '_ {
         const PF_AHEAD: usize = 16;
         self.touched.iter().enumerate().map(move |(i, &v)| {

@@ -18,7 +18,7 @@
 use prsim_graph::{DiGraph, GraphBuilder, NodeId};
 use rand::Rng;
 
-use crate::rng_from_seed;
+use crate::{rng_from_seed, GenError};
 
 /// Parameters of the Chung–Lu generators.
 #[derive(Clone, Copy, Debug)]
@@ -44,10 +44,37 @@ impl ChungLuConfig {
         }
     }
 
-    fn validate(&self) {
-        assert!(self.n > 0, "n must be positive");
-        assert!(self.avg_degree > 0.0, "avg_degree must be positive");
-        assert!(self.gamma > 0.0, "gamma must be positive");
+    /// Checks every parameter's domain: `0 < n < u32::MAX`, a finite
+    /// positive `avg_degree` and a positive `gamma`.
+    pub fn validate(&self) -> Result<(), GenError> {
+        if self.n >= u32::MAX as usize {
+            return Err(GenError::SizeOverflow {
+                generator: "chung-lu",
+                n: self.n,
+            });
+        }
+        let invalid = |name, value: String, expected| {
+            Err(GenError::InvalidParameter {
+                generator: "chung-lu",
+                name,
+                value,
+                expected,
+            })
+        };
+        if self.n == 0 {
+            return invalid("n", self.n.to_string(), "positive");
+        }
+        if !self.avg_degree.is_finite() || self.avg_degree <= 0.0 {
+            return invalid(
+                "avg_degree",
+                self.avg_degree.to_string(),
+                "finite and positive",
+            );
+        }
+        if self.gamma.is_nan() || self.gamma <= 0.0 {
+            return invalid("gamma", self.gamma.to_string(), "positive");
+        }
+        Ok(())
     }
 }
 
@@ -84,8 +111,19 @@ fn powerlaw_weights(n: usize, avg_degree: f64, gamma: f64) -> Vec<f64> {
 /// assert_eq!(g.node_count(), 500);
 /// assert!(g.avg_degree() > 2.0);
 /// ```
+///
+/// # Panics
+///
+/// On parameters [`ChungLuConfig::validate`] rejects; see
+/// [`try_chung_lu_undirected`] for the fallible form.
 pub fn chung_lu_undirected(cfg: ChungLuConfig) -> DiGraph {
-    cfg.validate();
+    try_chung_lu_undirected(cfg).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Fallible [`chung_lu_undirected`]: rejects out-of-domain parameters
+/// with a [`GenError`] instead of panicking.
+pub fn try_chung_lu_undirected(cfg: ChungLuConfig) -> Result<DiGraph, GenError> {
+    cfg.validate()?;
     let mut rng = rng_from_seed(cfg.seed);
     // The undirected model spreads each edge over two endpoints: to hit an
     // average (total) degree of d̄, weights should sum so that the expected
@@ -126,7 +164,7 @@ pub fn chung_lu_undirected(cfg: ChungLuConfig) -> DiGraph {
             j += 1;
         }
     }
-    b.build()
+    Ok(b.build())
 }
 
 /// Generates a **directed** Chung–Lu graph with independent out- and
@@ -137,9 +175,32 @@ pub fn chung_lu_undirected(cfg: ChungLuConfig) -> DiGraph {
 /// out- and in-degree (real webs/social graphs have distinct hub sets), the
 /// in-weight ranks are assigned via a deterministic permutation derived
 /// from the seed.
+///
+/// # Panics
+///
+/// On parameters [`ChungLuConfig::validate`] rejects, or a
+/// non-positive `gamma_in`; see [`try_chung_lu_directed`] for the
+/// fallible form.
 pub fn chung_lu_directed(cfg: ChungLuConfig, gamma_in: f64, seed_perm: u64) -> DiGraph {
-    cfg.validate();
-    assert!(gamma_in > 0.0, "gamma_in must be positive");
+    try_chung_lu_directed(cfg, gamma_in, seed_perm).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Fallible [`chung_lu_directed`]: rejects out-of-domain parameters
+/// with a [`GenError`] instead of panicking.
+pub fn try_chung_lu_directed(
+    cfg: ChungLuConfig,
+    gamma_in: f64,
+    seed_perm: u64,
+) -> Result<DiGraph, GenError> {
+    cfg.validate()?;
+    if gamma_in.is_nan() || gamma_in <= 0.0 {
+        return Err(GenError::InvalidParameter {
+            generator: "chung-lu",
+            name: "gamma_in",
+            value: gamma_in.to_string(),
+            expected: "positive",
+        });
+    }
     let mut rng = rng_from_seed(cfg.seed);
 
     let a = powerlaw_weights(cfg.n, cfg.avg_degree, cfg.gamma); // out-weights by rank
@@ -194,7 +255,7 @@ pub fn chung_lu_directed(cfg: ChungLuConfig, gamma_in: f64, seed_perm: u64) -> D
             rank += 1;
         }
     }
-    builder.build()
+    Ok(builder.build())
 }
 
 #[cfg(test)]
@@ -277,6 +338,57 @@ mod tests {
         for u in g.nodes() {
             assert!(!g.out_neighbors(u).contains(&u));
         }
+    }
+
+    #[test]
+    fn out_of_domain_parameters_are_structured_errors() {
+        let ok = ChungLuConfig::new(10, 4.0, 2.0, 1);
+        assert!(ok.validate().is_ok());
+        let bad = [
+            (ChungLuConfig { n: 0, ..ok }, "n"),
+            (
+                ChungLuConfig {
+                    avg_degree: 0.0,
+                    ..ok
+                },
+                "avg_degree",
+            ),
+            (
+                ChungLuConfig {
+                    avg_degree: f64::INFINITY,
+                    ..ok
+                },
+                "avg_degree",
+            ),
+            (ChungLuConfig { gamma: 0.0, ..ok }, "gamma"),
+            (
+                ChungLuConfig {
+                    gamma: f64::NAN,
+                    ..ok
+                },
+                "gamma",
+            ),
+        ];
+        for (cfg, param) in bad {
+            match try_chung_lu_undirected(cfg) {
+                Err(GenError::InvalidParameter { name, .. }) => assert_eq!(name, param),
+                other => panic!("{cfg:?}: expected an InvalidParameter error, got {other:?}"),
+            }
+            assert!(try_chung_lu_directed(cfg, 2.0, 1).is_err());
+        }
+        let huge = ChungLuConfig {
+            n: usize::MAX,
+            ..ok
+        };
+        assert!(matches!(
+            huge.validate(),
+            Err(GenError::SizeOverflow { .. })
+        ));
+        let err = try_chung_lu_directed(ok, 0.0, 1).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "chung-lu: gamma_in must be positive, got 0"
+        );
     }
 
     #[test]

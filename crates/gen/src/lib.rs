@@ -31,7 +31,10 @@ pub mod sbm;
 pub mod toys;
 
 pub use ba::barabasi_albert;
-pub use chung_lu::{chung_lu_directed, chung_lu_undirected, ChungLuConfig};
+pub use chung_lu::{
+    chung_lu_directed, chung_lu_undirected, try_chung_lu_directed, try_chung_lu_undirected,
+    ChungLuConfig,
+};
 pub use erdos_renyi::{erdos_renyi_directed, erdos_renyi_undirected};
 pub use sbm::{community_of, planted_partition};
 
@@ -43,7 +46,8 @@ use rand::SeedableRng;
 /// The generators are mostly infallible for sane parameters; this type
 /// exists for the places where a size request can overflow host
 /// arithmetic before any allocation happens (e.g. the `n·(n−1)` edge
-/// count of a complete graph).
+/// count of a complete graph), and for parameters outside their domain
+/// (the Chung–Lu `try_*` constructors).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GenError {
     /// A requested size overflows `usize` arithmetic or exceeds the
@@ -53,6 +57,18 @@ pub enum GenError {
         generator: &'static str,
         /// The offending size parameter.
         n: usize,
+    },
+    /// A parameter is outside its domain (e.g. `n = 0` or a
+    /// non-positive degree or exponent).
+    InvalidParameter {
+        /// Which generator rejected the request.
+        generator: &'static str,
+        /// The parameter's name.
+        name: &'static str,
+        /// The rejected value, as given.
+        value: String,
+        /// What the parameter must be.
+        expected: &'static str,
     },
 }
 
@@ -64,6 +80,12 @@ impl std::fmt::Display for GenError {
                 "{generator}: size {n} overflows the generator's edge arithmetic \
                  or the u32 node-id range"
             ),
+            GenError::InvalidParameter {
+                generator,
+                name,
+                value,
+                expected,
+            } => write!(f, "{generator}: {name} must be {expected}, got {value}"),
         }
     }
 }

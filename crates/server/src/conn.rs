@@ -22,7 +22,9 @@
 //!   every other client are untouched. Responses are byte-identical to
 //!   the sequential server for any interleaving of per-client scripts,
 //!   because each line is handled by the same pure
-//!   [`protocol::handle_line_gated`] path against an epoch snapshot.
+//!   [`protocol::handle_line_session`] path against an epoch snapshot.
+//!   Each worker owns one [`protocol::Session`] — a query workspace and
+//!   a reply buffer reused across its connection's requests.
 //! * **Drain** — when the external `stop` flag flips (SIGTERM/SIGINT,
 //!   see [`crate::signal`]) or a client sends `shutdown`, the listener
 //!   stops accepting and every worker closes its connection at the next
@@ -304,6 +306,9 @@ fn serve_conn(
     // this, Nagle + delayed ACK can hold a reply's tail segment for
     // ~40 ms per request.
     let _ = stream.set_nodelay(true);
+    // Per-connection query workspace and reply buffer, reused by every
+    // request this worker serves.
+    let mut session = protocol::Session::new();
     let mut buf: Vec<u8> = Vec::new();
     let mut chunk = [0u8; READ_CHUNK];
     let mut idle = Duration::ZERO;
@@ -318,7 +323,15 @@ fn serve_conn(
                 // deserve their answer.
                 if !buf.is_empty() {
                     let line = decode_line(&buf);
-                    respond(host, &mut stream, &line, gate, draining, shutdown_requested)?;
+                    respond(
+                        host,
+                        &mut stream,
+                        &line,
+                        &mut session,
+                        gate,
+                        draining,
+                        shutdown_requested,
+                    )?;
                 }
                 return Ok(());
             }
@@ -334,8 +347,15 @@ fn serve_conn(
                     }
                     let line = decode_line(&buf[..pos]);
                     buf.drain(..=pos);
-                    let quit =
-                        respond(host, &mut stream, &line, gate, draining, shutdown_requested)?;
+                    let quit = respond(
+                        host,
+                        &mut stream,
+                        &line,
+                        &mut session,
+                        gate,
+                        draining,
+                        shutdown_requested,
+                    )?;
                     if quit || draining.load(Ordering::SeqCst) || stop.load(Ordering::SeqCst) {
                         return Ok(());
                     }
@@ -398,18 +418,17 @@ fn respond(
     host: &EngineHost,
     stream: &mut TcpStream,
     line: &str,
+    session: &mut protocol::Session,
     gate: &InflightGate,
     draining: &AtomicBool,
     shutdown_requested: &AtomicBool,
 ) -> io::Result<bool> {
-    let (response, quit) = protocol::handle_line_gated(host, line, Some(gate));
-    if !response.is_empty() {
+    let quit = protocol::handle_line_session(host, line, Some(gate), session);
+    if !session.reply().is_empty() {
         // One write_all, newline included: `writeln!` would issue the
         // body and the terminator as separate writes, i.e. separate TCP
         // segments, and the terminator segment is what Nagle holds.
-        let mut out = response.into_bytes();
-        out.push(b'\n');
-        stream.write_all(&out)?;
+        stream.write_all(session.reply_frame())?;
         stream.flush()?;
     }
     if quit {

@@ -862,17 +862,23 @@ impl EngineHost {
 
     /// Graceful drain for SIGTERM/SIGINT: waits (up to `timeout`) for
     /// the applier to finish every batch committed to the WAL, takes a
-    /// best-effort final checkpoint if time remains, then shuts down.
-    /// Returns the final checkpoint, if one was written. The drained
-    /// state is bit-identical to an uninterrupted run over the same
-    /// committed prefix — the e2e gate the CLI's drain path is held to.
-    pub fn drain(&self, timeout: Duration) -> Result<Option<CheckpointInfo>, ServerError> {
+    /// final checkpoint, then shuts down. The drained state is
+    /// bit-identical to an uninterrupted run over the same committed
+    /// prefix — the e2e gate the CLI's drain path is held to.
+    ///
+    /// Returns the final checkpoint, or why none was written: the
+    /// applier did not catch up within `timeout`
+    /// ([`ServerError::DrainTimeout`]), the applier is dead, or the
+    /// checkpoint itself failed. The host is shut down either way, and
+    /// nothing acked is lost: without the final checkpoint the next
+    /// boot replays the WAL suffix instead.
+    pub fn drain(&self, timeout: Duration) -> Result<CheckpointInfo, ServerError> {
         let deadline = Instant::now() + timeout;
         let target = {
             let wal = lock_recover(&self.shared.wal);
             wal.stats().next_lsn.saturating_sub(1)
         };
-        {
+        let applied = {
             let mut progress = lock_recover(&self.shared.progress);
             while progress.applied_lsn < target {
                 if self.check_applier().is_err() || Instant::now() >= deadline {
@@ -885,16 +891,21 @@ impl EngineHost {
                 );
                 progress = next;
             }
-        }
-        // Best effort: a failed or timed-out checkpoint only means the
-        // next boot replays more log, never that it loses anything.
-        let checkpoint = if Instant::now() < deadline && self.check_applier().is_ok() {
-            self.checkpoint().ok()
-        } else {
-            None
+            progress.applied_lsn
         };
+        let checkpoint = self.check_applier().and_then(|()| {
+            if applied < target || Instant::now() >= deadline {
+                Err(ServerError::DrainTimeout {
+                    applied_lsn: applied,
+                    durable_lsn: target,
+                    timeout_ms: timeout.as_millis() as u64,
+                })
+            } else {
+                self.checkpoint()
+            }
+        });
         self.shutdown()?;
-        Ok(checkpoint)
+        checkpoint
     }
 
     /// Stops the applier (after it drains the queue) and joins it.

@@ -115,6 +115,17 @@ pub enum ServerError {
     /// The server shed this request under overload (connection or
     /// in-flight query limits); retry after a short backoff.
     Overloaded(String),
+    /// A graceful drain ran out of time before it could write its final
+    /// checkpoint. Every acked update is still in the WAL; the next
+    /// boot replays the records past the last checkpoint.
+    DrainTimeout {
+        /// The last LSN the applier had applied.
+        applied_lsn: u64,
+        /// The last LSN durable in the WAL when the drain began.
+        durable_lsn: u64,
+        /// The drain budget that ran out.
+        timeout_ms: u64,
+    },
 }
 
 impl ServerError {
@@ -142,6 +153,15 @@ impl fmt::Display for ServerError {
             }
             ServerError::WalWrite(msg) => write!(f, "wal write failed: {msg}"),
             ServerError::Overloaded(msg) => write!(f, "overloaded: {msg}"),
+            ServerError::DrainTimeout {
+                applied_lsn,
+                durable_lsn,
+                timeout_ms,
+            } => write!(
+                f,
+                "drain timed out after {timeout_ms} ms with applied_lsn={applied_lsn} \
+                 of durable_lsn={durable_lsn}"
+            ),
         }
     }
 }

@@ -41,9 +41,11 @@
 //! dropped, and excess connections or queries are shed with retryable
 //! errors.
 
+use std::fmt::Write as _;
 use std::io::{self, BufRead, Write};
 use std::time::Duration;
 
+use prsim_core::QueryWorkspace;
 use prsim_graph::EdgeUpdate;
 
 use crate::conn::InflightGate;
@@ -56,28 +58,65 @@ const DEFAULT_TOP: usize = 10;
 /// Seed mixer for seedless queries (keeps them deterministic per node).
 const DEFAULT_SEED_SALT: u64 = 0x5EED_CAFE;
 
-/// A handler's verdict, carrying enough structure to render the error
-/// taxonomy: protocol-level garbage is always fatal for the request —
-/// retrying the same bytes cannot succeed.
-enum Reply {
-    /// Rendered `ok …` line.
-    Ok(String),
+/// Reply-buffer capacity a [`Session`] keeps between requests. A
+/// `top=` covering every entry renders a reply of tens of kilobytes per
+/// thousand entries; a session that served one gives the excess back
+/// instead of holding it for the connection's lifetime.
+const REPLY_KEEP_BYTES: usize = 64 << 10;
+
+/// Why a request got no `ok` reply — enough structure to render the
+/// error taxonomy: protocol-level garbage is always fatal for the
+/// request, since retrying the same bytes cannot succeed.
+enum Refusal {
     /// Malformed request: `err fatal parse <msg>`.
     BadRequest(String),
     /// The host failed the request: `err retryable|fatal <msg>`.
     Failed(ServerError),
 }
 
-impl Reply {
-    fn render(self) -> String {
-        match self {
-            Reply::Ok(line) => line,
-            Reply::BadRequest(msg) => format!("err fatal parse {msg}"),
-            Reply::Failed(e) => {
+impl Refusal {
+    fn render(self, out: &mut String) {
+        let _ = match self {
+            Refusal::BadRequest(msg) => write!(out, "err fatal parse {msg}"),
+            Refusal::Failed(e) => {
                 let class = if e.retryable() { "retryable" } else { "fatal" };
-                format!("err {class} {e}")
+                write!(out, "err {class} {e}")
             }
-        }
+        };
+    }
+}
+
+/// Per-connection protocol state: one query workspace and one reply
+/// buffer, both reused across the connection's requests.
+///
+/// The workspace's dense buffers grow to the graph size on the first
+/// query and are reused after that, bit-identically to a fresh
+/// workspace; a connection that never queries never grows them. The
+/// reply buffer is rendered in place and keeps at most 64 KiB of
+/// capacity between requests.
+#[derive(Debug, Default)]
+pub struct Session {
+    workspace: QueryWorkspace,
+    reply: String,
+}
+
+impl Session {
+    /// A session with empty buffers.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The reply to the last request handled through
+    /// [`handle_line_session`], without its line terminator (empty for
+    /// a blank request line).
+    pub fn reply(&self) -> &str {
+        &self.reply
+    }
+
+    /// The reply with its `\n` appended, as one wire frame.
+    pub(crate) fn reply_frame(&mut self) -> &[u8] {
+        self.reply.push('\n');
+        self.reply.as_bytes()
     }
 }
 
@@ -93,135 +132,177 @@ pub fn handle_line(host: &EngineHost, line: &str) -> (String, bool) {
 /// every other client's queries. Non-query verbs never contend for the
 /// gate (they are bounded by their own backpressure — the applier
 /// queue — or are O(1) reads).
+///
+/// Runs [`handle_line_session`] on a fresh [`Session`], so its replies
+/// are byte-identical to a connection's.
 pub fn handle_line_gated(
     host: &EngineHost,
     line: &str,
     gate: Option<&InflightGate>,
 ) -> (String, bool) {
-    let mut tokens = line.split_whitespace();
-    let reply = match tokens.next() {
-        None => return (String::new(), false), // blank line: no response
-        Some("query") => {
-            let _permit = match gate.map(InflightGate::try_acquire) {
-                Some(None) => {
-                    return (
-                        Reply::Failed(ServerError::Overloaded(format!(
-                            "query shed at {} in flight, retry later",
-                            gate.expect("checked above").limit()
-                        )))
-                        .render(),
-                        false,
-                    )
-                }
-                Some(permit @ Some(_)) => permit,
-                None => None,
-            };
-            handle_query(host, tokens)
-        }
-        Some("update") => handle_update(host, tokens),
-        Some("sync") => match host.sync() {
-            Ok((applied_lsn, epoch)) => {
-                Reply::Ok(format!("ok applied_lsn={applied_lsn} epoch={epoch}"))
-            }
-            Err(e) => Reply::Failed(e),
-        },
-        Some("stats") => Reply::Ok(format!("ok {}", host.stats().render())),
-        Some("health") => Reply::Ok(format!("ok health={}", host.health().render())),
-        Some("checkpoint") => match host.checkpoint() {
-            Ok(info) => Reply::Ok(format!(
-                "ok checkpoint lsn={} bytes={}",
-                info.lsn, info.bytes
-            )),
-            Err(e) => Reply::Failed(e),
-        },
-        Some("shutdown") => return ("ok bye".into(), true),
-        Some(other) => Reply::BadRequest(format!("unknown command {other:?}")),
-    };
-    (reply.render(), false)
+    let mut session = Session::new();
+    let quit = handle_line_session(host, line, gate, &mut session);
+    (session.reply, quit)
 }
 
-fn handle_query<'a>(host: &EngineHost, mut tokens: impl Iterator<Item = &'a str>) -> Reply {
-    let u: u32 = match tokens.next() {
-        None => return Reply::BadRequest("query needs a node id".into()),
-        Some(t) => match t.parse() {
-            Ok(u) => u,
-            Err(_) => return Reply::BadRequest("query node id must be a u32".into()),
+/// [`handle_line_gated`] against a connection's [`Session`]: the reply
+/// is rendered into [`Session::reply`] and the returned `bool` is true
+/// when the client asked the server to shut down. This is the one code
+/// path behind every transport — the TCP workers, stdio and
+/// [`handle_line`].
+pub fn handle_line_session(
+    host: &EngineHost,
+    line: &str,
+    gate: Option<&InflightGate>,
+    session: &mut Session,
+) -> bool {
+    let out = &mut session.reply;
+    out.clear();
+    out.shrink_to(REPLY_KEEP_BYTES);
+    let mut tokens = line.split_whitespace();
+    let handled = match tokens.next() {
+        None => return false, // blank line: no response
+        Some("query") => match gate.map(InflightGate::try_acquire) {
+            Some(None) => Err(Refusal::Failed(ServerError::Overloaded(format!(
+                "query shed at {} in flight, retry later",
+                gate.expect("checked above").limit()
+            )))),
+            // The permit (if any) is held until the reply is rendered.
+            _permit => handle_query(host, tokens, &mut session.workspace, out),
         },
+        Some("update") => handle_update(host, tokens, out),
+        Some("sync") => host
+            .sync()
+            .map(|(applied_lsn, epoch)| {
+                let _ = write!(out, "ok applied_lsn={applied_lsn} epoch={epoch}");
+            })
+            .map_err(Refusal::Failed),
+        Some("stats") => {
+            let _ = write!(out, "ok {}", host.stats().render());
+            Ok(())
+        }
+        Some("health") => {
+            let _ = write!(out, "ok health={}", host.health().render());
+            Ok(())
+        }
+        Some("checkpoint") => host
+            .checkpoint()
+            .map(|info| {
+                let _ = write!(out, "ok checkpoint lsn={} bytes={}", info.lsn, info.bytes);
+            })
+            .map_err(Refusal::Failed),
+        Some("shutdown") => {
+            out.push_str("ok bye");
+            return true;
+        }
+        Some(other) => Err(Refusal::BadRequest(format!("unknown command {other:?}"))),
+    };
+    if let Err(refusal) = handled {
+        out.clear();
+        refusal.render(out);
+    }
+    false
+}
+
+/// Answers `query U [top=K] [seed=S] [timeout=MS]` into `out`.
+///
+/// The reply carries the `K` best entries by descending score, ties
+/// broken by ascending node id, with the source itself excluded (its
+/// score is trivially 1); `entries=` counts every stored entry, the
+/// source included.
+fn handle_query<'a>(
+    host: &EngineHost,
+    mut tokens: impl Iterator<Item = &'a str>,
+    ws: &mut QueryWorkspace,
+    out: &mut String,
+) -> Result<(), Refusal> {
+    let u: u32 = match tokens.next() {
+        None => return Err(Refusal::BadRequest("query needs a node id".into())),
+        Some(t) => t
+            .parse()
+            .map_err(|_| Refusal::BadRequest("query node id must be a u32".into()))?,
     };
     let mut top = DEFAULT_TOP;
     let mut seed = u64::from(u) ^ DEFAULT_SEED_SALT;
     let mut timeout = None;
     for token in tokens {
         if let Some(v) = token.strip_prefix("top=") {
-            top = match v.parse() {
-                Ok(k) => k,
-                Err(_) => return Reply::BadRequest(format!("bad top= value {v:?}")),
-            };
+            top = v
+                .parse()
+                .map_err(|_| Refusal::BadRequest(format!("bad top= value {v:?}")))?;
         } else if let Some(v) = token.strip_prefix("seed=") {
-            seed = match v.parse() {
-                Ok(s) => s,
-                Err(_) => return Reply::BadRequest(format!("bad seed= value {v:?}")),
-            };
+            seed = v
+                .parse()
+                .map_err(|_| Refusal::BadRequest(format!("bad seed= value {v:?}")))?;
         } else if let Some(v) = token.strip_prefix("timeout=") {
-            timeout = match v.parse::<u64>() {
-                Ok(ms) => Some(Duration::from_millis(ms)),
-                Err(_) => return Reply::BadRequest(format!("bad timeout= value {v:?}")),
-            };
+            let ms: u64 = v
+                .parse()
+                .map_err(|_| Refusal::BadRequest(format!("bad timeout= value {v:?}")))?;
+            timeout = Some(Duration::from_millis(ms));
         } else {
-            return Reply::BadRequest(format!("unknown query option {token:?}"));
+            return Err(Refusal::BadRequest(format!(
+                "unknown query option {token:?}"
+            )));
         }
     }
     let snapshot = host.snapshot();
-    let (scores, stats) = match snapshot.query_with_deadline(u, seed, timeout) {
-        Ok(r) => r,
-        Err(e) => return Reply::Failed(ServerError::Engine(e)),
-    };
-    let ranked = scores.top_k(top);
-    let mut out = format!(
+    let (ranked, stats) = snapshot
+        .query_top_k(u, seed, timeout, top, ws)
+        .map_err(|e| Refusal::Failed(ServerError::Engine(e)))?;
+    let _ = write!(
+        out,
         "ok epoch={} lsn={} node={u} entries={} top {}",
         snapshot.epoch(),
         snapshot.last_lsn(),
-        scores.len(),
-        ranked.len()
+        ranked.len,
+        ranked.top.len()
     );
-    for (v, s) in ranked {
-        out.push_str(&format!(" {v}:{s}"));
+    for (v, s) in ranked.top {
+        let _ = write!(out, " {v}:{s}");
     }
     if timeout.is_some() {
-        out.push_str(&format!(" degraded={}", stats.degraded));
+        let _ = write!(out, " degraded={}", stats.degraded);
     }
-    Reply::Ok(out)
+    Ok(())
 }
 
-fn handle_update<'a>(host: &EngineHost, tokens: impl Iterator<Item = &'a str>) -> Reply {
+fn handle_update<'a>(
+    host: &EngineHost,
+    tokens: impl Iterator<Item = &'a str>,
+    out: &mut String,
+) -> Result<(), Refusal> {
     let tokens: Vec<&str> = tokens.collect();
     if tokens.is_empty() {
-        return Reply::BadRequest("update needs at least one `+ U V` or `- U V` triple".into());
+        return Err(Refusal::BadRequest(
+            "update needs at least one `+ U V` or `- U V` triple".into(),
+        ));
     }
     if tokens.len() % 3 != 0 {
-        return Reply::BadRequest("update arguments must be (op, u, v) triples".into());
+        return Err(Refusal::BadRequest(
+            "update arguments must be (op, u, v) triples".into(),
+        ));
     }
+    let node = |t: &str| -> Result<u32, Refusal> {
+        t.parse()
+            .map_err(|_| Refusal::BadRequest(format!("bad node id {t:?}")))
+    };
     let mut updates = Vec::with_capacity(tokens.len() / 3);
     for triple in tokens.chunks_exact(3) {
-        let u: u32 = match triple[1].parse() {
-            Ok(u) => u,
-            Err(_) => return Reply::BadRequest(format!("bad node id {:?}", triple[1])),
-        };
-        let v: u32 = match triple[2].parse() {
-            Ok(v) => v,
-            Err(_) => return Reply::BadRequest(format!("bad node id {:?}", triple[2])),
-        };
+        let (u, v) = (node(triple[1])?, node(triple[2])?);
         updates.push(match triple[0] {
             "+" => EdgeUpdate::Insert(u, v),
             "-" => EdgeUpdate::Delete(u, v),
-            op => return Reply::BadRequest(format!("bad update op {op:?} (want + or -)")),
+            op => {
+                return Err(Refusal::BadRequest(format!(
+                    "bad update op {op:?} (want + or -)"
+                )))
+            }
         });
     }
     let queued = updates.len();
-    match host.update(updates) {
-        Ok(lsn) => Reply::Ok(format!("ok lsn={lsn} queued={queued}")),
-        Err(e) => Reply::Failed(e),
-    }
+    let lsn = host.update(updates).map_err(Refusal::Failed)?;
+    let _ = write!(out, "ok lsn={lsn} queued={queued}");
+    Ok(())
 }
 
 /// Serves one request stream until EOF or `shutdown`; returns whether
@@ -232,11 +313,12 @@ pub fn serve_stream<R: BufRead, W: Write>(
     reader: R,
     writer: &mut W,
 ) -> io::Result<bool> {
+    let mut session = Session::new();
     for line in reader.lines() {
         let line = line?;
-        let (response, quit) = handle_line(host, &line);
-        if !response.is_empty() {
-            writeln!(writer, "{response}")?;
+        let quit = handle_line_session(host, &line, None, &mut session);
+        if !session.reply().is_empty() {
+            writer.write_all(session.reply_frame())?;
             writer.flush()?;
         }
         if quit {

@@ -8,7 +8,7 @@
 //! reader holding epoch `e` keeps it alive for the duration of its query
 //! even while epoch `e+1` is being published.
 
-use prsim_core::{Prsim, PrsimError, QueryStats, SimRankScores};
+use prsim_core::{Prsim, PrsimError, QueryStats, QueryWorkspace, SimRankScores, TopEntries};
 use prsim_graph::NodeId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -71,6 +71,26 @@ impl EpochSnapshot {
         let mut rng = StdRng::seed_from_u64(seed);
         self.engine
             .try_single_source_with_deadline(u, timeout, &mut rng)
+    }
+
+    /// The served query: the `k` best entries of
+    /// [`EpochSnapshot::query_with_deadline`]'s scores, ranked as
+    /// [`SimRankScores::top_k`] ranks them, and the number of stored
+    /// entries, computed against a caller-owned workspace (see
+    /// [`Prsim::try_single_source_top_k_with_workspace`]). A connection
+    /// keeps one workspace across its queries and epochs; reuse is
+    /// bit-identical to a fresh workspace (see [`QueryWorkspace`]).
+    pub fn query_top_k(
+        &self,
+        u: NodeId,
+        seed: u64,
+        timeout: Option<Duration>,
+        k: usize,
+        ws: &mut QueryWorkspace,
+    ) -> Result<(TopEntries, QueryStats), PrsimError> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        self.engine
+            .try_single_source_top_k_with_workspace(u, k, timeout, ws, &mut rng)
     }
 }
 

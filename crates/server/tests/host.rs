@@ -544,3 +544,52 @@ fn paged_host_rejects_infeasible_budget() {
     );
     fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn drain_reports_its_final_checkpoint_or_why_there_is_none() {
+    let g = test_graph();
+    let stream = batches(&g, 3);
+
+    // A drain with time to spare checkpoints everything durable.
+    let dir = tmpdir("drain_ok");
+    let host = EngineHost::open(&g, &dir, options()).unwrap();
+    for batch in &stream {
+        host.update(batch.clone()).unwrap();
+    }
+    let info = host.drain(Duration::from_secs(60)).unwrap();
+    assert_eq!(info.lsn, stream.len() as u64);
+    drop(host);
+    let host = EngineHost::open(&g, &dir, options()).unwrap();
+    assert_eq!(host.recovery().replayed_records, 0);
+    host.shutdown().unwrap();
+    fs::remove_dir_all(&dir).ok();
+
+    // A drain whose budget ends before the applier catches up says so,
+    // and the next boot replays what the missing checkpoint would have
+    // covered — nothing acked is lost.
+    let dir = tmpdir("drain_timeout");
+    let mut opts = options();
+    opts.applier_delay = Duration::from_millis(400);
+    let host = EngineHost::open(&g, &dir, opts).unwrap();
+    for batch in &stream {
+        host.update(batch.clone()).unwrap();
+    }
+    match host.drain(Duration::ZERO) {
+        Err(ServerError::DrainTimeout {
+            applied_lsn,
+            durable_lsn,
+            timeout_ms,
+        }) => {
+            assert!(applied_lsn < durable_lsn, "{applied_lsn} vs {durable_lsn}");
+            assert_eq!(durable_lsn, stream.len() as u64);
+            assert_eq!(timeout_ms, 0);
+        }
+        other => panic!("expected a drain timeout, got {other:?}"),
+    }
+    drop(host);
+    let host = EngineHost::open(&g, &dir, options()).unwrap();
+    assert_eq!(host.snapshot().last_lsn(), stream.len() as u64);
+    assert!(host.recovery().replayed_records > 0);
+    host.shutdown().unwrap();
+    fs::remove_dir_all(&dir).ok();
+}
