@@ -9,8 +9,11 @@
 //!   the derived queries-per-second, in **both walk-cache modes** (the
 //!   default cached engine and a `walk_cache_budget = 0` engine) and on
 //!   the f32 reserve arena,
-//! * walk-cache observability: budget, pool count, resident bytes,
-//!   terminal/η hit rates and mean wavefront peak over the query set,
+//! * walk-cache observability: budget, pool count, resident bytes and
+//!   terminal/η hit rates over the query set,
+//! * the exact work of the seeded query set: its [`QueryStats`] counters
+//!   and result-entry count, summed over the first `WORK_QUERIES`
+//!   queries,
 //! * index memory: live postings, offset-table slots and resident
 //!   `size_bytes` for both arena precisions, plus the estimated resident
 //!   size of the pre-arena nested `Vec<Vec<Vec<(NodeId, f64)>>>` layout
@@ -32,21 +35,24 @@
 //! * `--smoke`: run only the 5k graph (seconds, for CI); both cache
 //!   modes are still measured, so CI covers cached and uncached engines;
 //! * `--check PATH`: after running, compare against the committed JSON at
-//!   `PATH`; exit non-zero when the file is malformed, the fresh
-//!   single-source p50 regresses by more than 3x, the committed row lacks
-//!   the index-memory, walk-cache or paged fields, the fresh f64
-//!   `size_bytes` exceeds 1.1x its committed value, the fresh walk-cache
-//!   `resident_bytes` exceeds 1.1x its committed value (memory
-//!   guardrails), or the paged qps-vs-budget curve collapses against the
-//!   committed one. Every run (with or without `--check`) additionally
-//!   hard-asserts that the paged buffer pool's peak resident bytes stay
-//!   within the memory budget at every sweep point.
+//!   `PATH`; exit non-zero when the file is malformed, the committed row
+//!   lacks the work, index-memory, walk-cache or paged fields, the fresh
+//!   work differs from the committed work in any counter (work is gated
+//!   exactly, time loosely), the fresh single-source p50 regresses by
+//!   more than 3x, the fresh f64 `size_bytes` exceeds 1.1x its committed
+//!   value, the fresh walk-cache `resident_bytes` exceeds 1.1x its
+//!   committed value (memory guardrails), or the paged qps-vs-budget
+//!   curve collapses against the committed one. Every run (with or
+//!   without `--check`) additionally hard-asserts that the paged buffer
+//!   pool's peak resident bytes stay within the memory budget at every
+//!   sweep point, and that the paged engine does exactly the resident
+//!   engine's work.
 
 use prsim_bench::hot::{hot_bench_config, percentile, HOT_C_MULT};
 use prsim_bench::json as mini_json;
 use prsim_core::pagerank::reverse_pagerank;
 use prsim_core::{
-    PagedOptions, Prsim, PrsimConfig, PrsimIndex, QueryPlan, QueryWorkspace, ReservePrecision,
+    PagedOptions, Prsim, PrsimConfig, PrsimIndex, QueryStats, QueryWorkspace, ReservePrecision,
     SimRankScores,
 };
 use prsim_gen::{chung_lu_undirected, ChungLuConfig};
@@ -85,12 +91,9 @@ const PAGED_FRACS: &[f64] = &[1.0, 0.5, 0.25, 0.125];
 /// bytes must never exceed the budget.
 const PAGED_CURVE_TOLERANCE: f64 = 3.0;
 
-/// Plan-regression tolerance of `--check`: fail when the fused plan's
-/// p50, *normalized by the same-run reference-plan p50* (the two plans
-/// run interleaved per query, so the ratio cancels box drift that moves
-/// absolute microseconds by ±50% between runs), regresses more than
-/// 1.1x against the committed normalized p50.
-const PLAN_TOLERANCE: f64 = 1.1;
+/// Length of the seeded query-set prefix whose work is recorded and
+/// gated exactly (CI's smoke run serves this many queries).
+const WORK_QUERIES: usize = 60;
 
 struct DatasetSpec {
     name: &'static str,
@@ -139,15 +142,64 @@ struct IndexRow {
     nested_f64_size_bytes: usize,
 }
 
-/// Walk-cache observability aggregated over one serial run.
+/// Exact work of the seeded query set: the [`QueryStats`] counters and
+/// the result-entry count, summed over its first [`WORK_QUERIES`]
+/// queries. Everything is seeded, so any difference from the committed
+/// sums is a change in what the engine computes, not noise.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Work {
+    queries: usize,
+    walks: usize,
+    died: usize,
+    pair_met: usize,
+    backward_walks: usize,
+    backward_cost: usize,
+    index_entries: usize,
+    cached_terminals: usize,
+    cached_eta: usize,
+    result_entries: usize,
+}
+
+impl Work {
+    /// `(JSON key, value)` for every field, in render order.
+    fn fields(&self) -> [(&'static str, usize); 10] {
+        [
+            ("queries", self.queries),
+            ("walks", self.walks),
+            ("died", self.died),
+            ("pair_met", self.pair_met),
+            ("backward_walks", self.backward_walks),
+            ("backward_cost", self.backward_cost),
+            ("index_entries", self.index_entries),
+            ("cached_terminals", self.cached_terminals),
+            ("cached_eta", self.cached_eta),
+            ("result_entries", self.result_entries),
+        ]
+    }
+
+    fn add(&mut self, stats: &QueryStats, result_entries: usize) {
+        self.queries += 1;
+        self.walks += stats.walks;
+        self.died += stats.died;
+        self.pair_met += stats.pair_met;
+        self.backward_walks += stats.backward_walks;
+        self.backward_cost += stats.backward_cost;
+        self.index_entries += stats.index_entries;
+        self.cached_terminals += stats.cached_terminals;
+        self.cached_eta += stats.cached_eta;
+        self.result_entries += result_entries;
+    }
+}
+
+/// Walk-cache observability and exact work aggregated over one serial
+/// run.
 #[derive(Default)]
 struct CacheAgg {
     walks: usize,
     died: usize,
     term_hits: usize,
     eta_hits: usize,
-    wavefront_peak_sum: usize,
-    queries: usize,
+    work: Work,
 }
 
 impl CacheAgg {
@@ -158,10 +210,6 @@ impl CacheAgg {
     fn eta_hit_rate(&self) -> f64 {
         self.eta_hits as f64 / (self.walks - self.died).max(1) as f64
     }
-
-    fn wavefront_peak_mean(&self) -> f64 {
-        self.wavefront_peak_sum as f64 / self.queries.max(1) as f64
-    }
 }
 
 struct CacheRow {
@@ -170,21 +218,6 @@ struct CacheRow {
     resident_bytes: usize,
     term_hit_rate: f64,
     eta_hit_rate: f64,
-    wavefront_peak_mean: f64,
-}
-
-/// The reference-plan half of the interleaved fused-vs-reference run:
-/// both plans answer every query back to back from identically seeded
-/// RNGs, alternating which goes first, so the speedup is a paired
-/// per-query statistic rather than a cross-run comparison.
-struct PlanRow {
-    p50_us: f64,
-    qps: f64,
-    /// Median over per-query `reference_us / fused_us` ratios.
-    fused_speedup_paired: f64,
-    /// Worst |ŝ_fused − ŝ_reference| over the query set — reassociation
-    /// only, expected ~1e-16.
-    max_abs_diff: f64,
 }
 
 /// One budget point of the out-of-core sweep: the engine serving the
@@ -206,7 +239,6 @@ struct BenchRow {
     n: usize,
     m: usize,
     build_ms: f64,
-    plan: String,
     p50_us: f64,
     p95_us: f64,
     mean_us: f64,
@@ -216,7 +248,7 @@ struct BenchRow {
     nocache_qps: f64,
     f32_p50_us: f64,
     f32_qps: f64,
-    reference: PlanRow,
+    work: Work,
     cache: CacheRow,
     index: IndexRow,
     paged: Vec<PagedPoint>,
@@ -257,76 +289,27 @@ fn serial_latencies(
         agg.died += stats.died;
         agg.term_hits += stats.cached_terminals;
         agg.eta_hits += stats.cached_eta;
-        agg.wavefront_peak_sum += stats.wavefront_peak;
-        agg.queries += 1;
+        if i < WORK_QUERIES {
+            agg.work.add(&stats, scores.len());
+        }
     }
     let qps = sources.len() as f64 / start.elapsed().as_secs_f64();
     lat_us.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
     (lat_us, qps)
 }
 
-/// Interleaved fused-vs-reference measurement on one engine: each query
-/// is answered by both plans back to back from identically seeded RNGs
-/// (the order alternates per query to cancel cache-warming asymmetry),
-/// yielding the reference-plan latency distribution, the paired
-/// per-query speedup median, and the worst plan-to-plan estimate
-/// divergence. The engine is handed back in its original plan.
-fn paired_plan_latencies(engine: &mut Prsim, sources: &[NodeId], guard: &mut f64) -> PlanRow {
-    let original = engine.config().plan;
-    let mut ws = QueryWorkspace::new();
-    for (i, &u) in sources.iter().take(10).enumerate() {
-        for plan in [QueryPlan::Reference, QueryPlan::Fused] {
-            engine.set_query_plan(plan);
-            let mut rng = StdRng::seed_from_u64(0xDEAD + i as u64);
-            *guard += sink(&engine.single_source_with_workspace(u, &mut ws, &mut rng));
-        }
-    }
-    let mut ref_us: Vec<f64> = Vec::with_capacity(sources.len());
-    let mut ratios: Vec<f64> = Vec::with_capacity(sources.len());
-    let mut max_abs_diff = 0.0f64;
-    for (i, &u) in sources.iter().enumerate() {
-        let order = if i % 2 == 0 {
-            [QueryPlan::Reference, QueryPlan::Fused]
-        } else {
-            [QueryPlan::Fused, QueryPlan::Reference]
-        };
-        let mut pair_us = [0.0f64; 2]; // [reference, fused]
-        let mut answers: Vec<SimRankScores> = Vec::with_capacity(2);
-        for plan in order {
-            engine.set_query_plan(plan);
-            let mut rng = StdRng::seed_from_u64(1_000 + i as u64);
-            let t = Instant::now();
-            let (scores, _) = engine
-                .try_single_source_with_workspace(u, &mut ws, &mut rng)
-                .expect("sources pre-checked");
-            pair_us[(plan == QueryPlan::Fused) as usize] = t.elapsed().as_secs_f64() * 1e6;
-            *guard += sink(&scores);
-            answers.push(scores);
-        }
-        max_abs_diff = max_abs_diff.max(answers[0].max_abs_diff(&answers[1]));
-        ref_us.push(pair_us[0]);
-        ratios.push(pair_us[0] / pair_us[1]);
-    }
-    engine.set_query_plan(original);
-    let total_ref_secs = ref_us.iter().sum::<f64>() / 1e6;
-    ref_us.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite ratios"));
-    PlanRow {
-        p50_us: percentile(&ref_us, 0.50),
-        qps: sources.len() as f64 / total_ref_secs.max(f64::MIN_POSITIVE),
-        fused_speedup_paired: percentile(&ratios, 0.50),
-        max_abs_diff,
-    }
-}
-
 /// Out-of-core sweep: demote the engine's arena to a v4 page file once,
 /// then serve the same seeded query set with the buffer pool capped at
-/// each budget fraction of the blob size. All points (and the resident
-/// engine they are compared to) run the reference plan — the paged
-/// arena resolves `Auto` to reference, so pinning keeps the sweep
-/// apples-to-apples. The sweep asserts fault-free serving (local disk,
-/// no injection) and that the pool honors every budget.
-fn run_paged_sweep(engine: &Prsim, spec: &DatasetSpec, sources: &[NodeId]) -> Vec<PagedPoint> {
+/// each budget fraction of the blob size. The sweep asserts fault-free
+/// serving (local disk, no injection), that the pool honors every
+/// budget, and that every point does exactly the resident engine's
+/// `work` (paging moves bytes, never estimates).
+fn run_paged_sweep(
+    engine: &Prsim,
+    spec: &DatasetSpec,
+    sources: &[NodeId],
+    work: Work,
+) -> Vec<PagedPoint> {
     let dir = std::env::temp_dir().join(format!("prsim_query_hot_paged_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("tmp dir");
     let path = dir.join(format!("{}.pages", spec.name));
@@ -354,13 +337,17 @@ fn run_paged_sweep(engine: &Prsim, spec: &DatasetSpec, sources: &[NodeId]) -> Ve
         };
         let index = PrsimIndex::open_paged(Arc::new(FsStorage), &path, sorted.node_count(), &opts)
             .expect("budget fraction admits (meta tables outgrew the smallest fraction?)");
-        let mut paged = Prsim::from_parts(sorted.clone(), pi.clone(), index, config.clone())
+        let paged = Prsim::from_parts(sorted.clone(), pi.clone(), index, config.clone())
             .expect("paged engine builds");
-        paged.set_query_plan(QueryPlan::Reference);
         let mut agg = CacheAgg::default();
         let (lat_us, qps) = serial_latencies(&paged, sources, &mut guard, &mut agg);
         let stats = paged.index().paging_stats().expect("engine is paged");
         assert_eq!(stats.faults, 0, "local-disk sweep must be fault-free");
+        assert_eq!(
+            agg.work, work,
+            "{}: paged engine (frac {frac}) did different work than resident",
+            spec.name
+        );
         assert!(
             stats.peak_resident_bytes <= budget_bytes,
             "{}: pool peak {} B exceeds budget {} B (frac {})",
@@ -405,8 +392,7 @@ fn run_dataset(spec: &DatasetSpec, queries: usize) -> BenchRow {
     let m = graph.edge_count();
 
     let t0 = Instant::now();
-    let mut engine =
-        Prsim::build(graph.clone(), hot_bench_config()).expect("bench config is valid");
+    let engine = Prsim::build(graph.clone(), hot_bench_config()).expect("bench config is valid");
     let build_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     // Seeded query set: uniform random sources, fixed across runs.
@@ -430,14 +416,8 @@ fn run_dataset(spec: &DatasetSpec, queries: usize) -> BenchRow {
             resident_bytes: c.resident_bytes(),
             term_hit_rate: agg.term_hit_rate(),
             eta_hit_rate: agg.eta_hit_rate(),
-            wavefront_peak_mean: agg.wavefront_peak_mean(),
         }
     };
-
-    // Interleaved fused-vs-reference: the reference plan is the frozen
-    // PR 5 back half, so this paired run is the same-box baseline the
-    // committed `pr5` block and the `--check` plan gate are built on.
-    let reference = paired_plan_latencies(&mut engine, &sources, &mut guard);
 
     // Secondary: the allocating entry point (fresh transient workspace
     // per query), i.e. what a naive caller pays.
@@ -469,7 +449,7 @@ fn run_dataset(spec: &DatasetSpec, queries: usize) -> BenchRow {
     // pool at shrinking hard budgets. Runs after every resident
     // measurement so the paged engines cannot evict the resident
     // working set mid-measurement.
-    let paged = run_paged_sweep(&engine, spec, &sources);
+    let paged = run_paged_sweep(&engine, spec, &sources, agg.work);
 
     // The same engine with the walk cache disabled: the committed
     // trajectory records both modes, and CI's smoke run therefore
@@ -508,7 +488,6 @@ fn run_dataset(spec: &DatasetSpec, queries: usize) -> BenchRow {
         n,
         m,
         build_ms,
-        plan: engine.query_plan().to_string(),
         p50_us: percentile(&lat_us, 0.50),
         p95_us: percentile(&lat_us, 0.95),
         mean_us,
@@ -518,7 +497,7 @@ fn run_dataset(spec: &DatasetSpec, queries: usize) -> BenchRow {
         nocache_qps,
         f32_p50_us: percentile(&f32_lat_us, 0.50),
         f32_qps,
-        reference,
+        work: agg.work,
         cache: cache_row,
         index: IndexRow {
             hubs: stats.hubs,
@@ -566,28 +545,28 @@ fn render_json(rows: &[BenchRow], queries: usize, preserved: &[(&str, String)]) 
             r.name, r.n, r.m, r.build_ms
         ));
         out.push_str(&format!(
-            "     \"single_source\": {{\"plan\": \"{}\", \"p50_us\": {:.1}, \"p95_us\": {:.1}, \"mean_us\": {:.1}, \"qps\": {:.1}, \"alloc_qps\": {:.1}}},\n",
-            r.plan, r.p50_us, r.p95_us, r.mean_us, r.qps, r.alloc_qps
+            "     \"single_source\": {{\"p50_us\": {:.1}, \"p95_us\": {:.1}, \"mean_us\": {:.1}, \"qps\": {:.1}, \"alloc_qps\": {:.1}}},\n",
+            r.p50_us, r.p95_us, r.mean_us, r.qps, r.alloc_qps
         ));
         out.push_str(&format!(
-            "     \"single_source_reference\": {{\"plan\": \"reference\", \"p50_us\": {:.1}, \"qps\": {:.1}, \"fused_speedup_paired\": {:.3}, \"max_abs_diff_vs_fused\": {:.3e}}},\n",
-            r.reference.p50_us,
-            r.reference.qps,
-            r.reference.fused_speedup_paired,
-            r.reference.max_abs_diff
+            "     \"single_source_nocache\": {{\"p50_us\": {:.1}, \"qps\": {:.1}}},\n",
+            r.nocache_p50_us, r.nocache_qps
         ));
         out.push_str(&format!(
-            "     \"single_source_nocache\": {{\"plan\": \"{}\", \"p50_us\": {:.1}, \"qps\": {:.1}}},\n",
-            r.plan, r.nocache_p50_us, r.nocache_qps
+            "     \"single_source_f32\": {{\"p50_us\": {:.1}, \"qps\": {:.1}}},\n",
+            r.f32_p50_us, r.f32_qps
         ));
-        out.push_str(&format!(
-            "     \"single_source_f32\": {{\"plan\": \"{}\", \"p50_us\": {:.1}, \"qps\": {:.1}}},\n",
-            r.plan, r.f32_p50_us, r.f32_qps
-        ));
+        let work: Vec<String> = r
+            .work
+            .fields()
+            .iter()
+            .map(|(key, value)| format!("\"{key}\": {value}"))
+            .collect();
+        out.push_str(&format!("     \"work\": {{{}}},\n", work.join(", ")));
         let c = &r.cache;
         out.push_str(&format!(
-            "     \"walk_cache\": {{\"budget\": {}, \"pools\": {}, \"resident_bytes\": {}, \"term_hit_rate\": {:.3}, \"eta_hit_rate\": {:.3}, \"wavefront_peak_mean\": {:.1}}},\n",
-            c.budget, c.pools, c.resident_bytes, c.term_hit_rate, c.eta_hit_rate, c.wavefront_peak_mean
+            "     \"walk_cache\": {{\"budget\": {}, \"pools\": {}, \"resident_bytes\": {}, \"term_hit_rate\": {:.3}, \"eta_hit_rate\": {:.3}}},\n",
+            c.budget, c.pools, c.resident_bytes, c.term_hit_rate, c.eta_hit_rate
         ));
         let ix = &r.index;
         out.push_str(&format!(
@@ -601,7 +580,7 @@ fn render_json(rows: &[BenchRow], queries: usize, preserved: &[(&str, String)]) 
             ix.size_bytes_f32 as f64 / ix.nested_f64_size_bytes.max(1) as f64
         ));
         out.push_str(&format!(
-            "     \"paged\": {{\"plan\": \"reference\", \"page_bytes\": {PAGED_PAGE_BYTES}, \"points\": ["
+            "     \"paged\": {{\"page_bytes\": {PAGED_PAGE_BYTES}, \"points\": ["
         ));
         for (j, p) in r.paged.iter().enumerate() {
             out.push_str(&format!(
@@ -633,25 +612,6 @@ fn render_json(rows: &[BenchRow], queries: usize, preserved: &[(&str, String)]) 
     out
 }
 
-/// The `pr5` baseline block: reference-plan latency per dataset from
-/// this run's interleaved measurement, plus the paired speedup the fused
-/// plan achieved against it on the same box, same queries, same minute.
-fn render_pr5_block(rows: &[BenchRow]) -> String {
-    let mut out = String::new();
-    out.push_str("{\"note\": \"reference plan = frozen PR 5 back half, measured interleaved with the fused plan (paired per-query, alternating order); speedup is the per-query ratio median\", \"results\": [");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "{{\"name\": \"{}\", \"p50_us\": {:.1}, \"qps\": {:.1}, \"fused_speedup_paired\": {:.3}}}",
-            r.name, r.reference.p50_us, r.reference.qps, r.reference.fused_speedup_paired
-        ));
-        if i + 1 < rows.len() {
-            out.push_str(", ");
-        }
-    }
-    out.push_str("]}");
-    out
-}
-
 fn arg_value(args: &[String], flag: &str) -> Option<String> {
     args.iter()
         .position(|a| a == flag)
@@ -678,14 +638,7 @@ fn main() {
         eprintln!("running {} (n = {}) ...", spec.name, spec.n);
         let row = run_dataset(spec, queries);
         eprintln!(
-            "  plan {} | reference p50 {:.0} us | paired speedup {:.2}x | plan diff {:.1e}",
-            row.plan,
-            row.reference.p50_us,
-            row.reference.fused_speedup_paired,
-            row.reference.max_abs_diff,
-        );
-        eprintln!(
-            "  build {:.1} ms | p50 {:.0} us | p95 {:.0} us | {:.0} qps serial ({:.0} nocache, {:.0} f32) | {:.0} qps batch | index {} B (f32 {} B) | cache {} B, hit {:.2}/{:.2}, peak {:.0}",
+            "  build {:.1} ms | p50 {:.0} us | p95 {:.0} us | {:.0} qps serial ({:.0} nocache, {:.0} f32) | {:.0} qps batch | index {} B (f32 {} B) | cache {} B, hit {:.2}/{:.2}",
             row.build_ms,
             row.p50_us,
             row.p95_us,
@@ -698,7 +651,6 @@ fn main() {
             row.cache.resident_bytes,
             row.cache.term_hit_rate,
             row.cache.eta_hit_rate,
-            row.cache.wavefront_peak_mean,
         );
         for p in &row.paged {
             eprintln!(
@@ -709,17 +661,10 @@ fn main() {
         rows.push(row);
     }
 
-    let mut preserved: Vec<(&str, String)> = ["pre_pr", "pr3", "pr4", "pr5"]
+    let preserved: Vec<(&str, String)> = ["pre_pr", "pr3", "pr4", "pr5"]
         .iter()
         .filter_map(|&k| preserved_block(&out_path, k).map(|b| (k, b)))
         .collect();
-    // First regeneration after the fused plan landed: snapshot the
-    // reference plan (the frozen PR 5 back half) as the `pr5` baseline
-    // block, measured in this very run interleaved with the fused plan —
-    // a same-box baseline, unlike the pre-fused absolute numbers.
-    if !preserved.iter().any(|(k, _)| *k == "pr5") {
-        preserved.push(("pr5", render_pr5_block(&rows)));
-    }
     let json = render_json(&rows, queries, &preserved);
     // Self-check: what we write must parse.
     mini_json::parse(&json).expect("query_hot produced malformed JSON");
@@ -772,38 +717,34 @@ fn check_against_baseline(rows: &[BenchRow], path: &str) {
                 );
             }
         }
-        // Plan guardrail: the fused plan must not regress against its
-        // own committed p50. Absolute microseconds drift with box state,
-        // so both sides are normalized by their same-run reference-plan
-        // p50 (the interleaved pair cancels the drift): fail when
-        // fresh(fused/reference) > committed(fused/reference) × 1.1.
-        let committed_ref_p50 = committed_row
-            .and_then(|r| r.get("single_source_reference"))
-            .and_then(|s| s.get("p50_us"))
-            .and_then(mini_json::Value::as_f64);
-        match (committed_p50, committed_ref_p50) {
-            (Some(base), Some(base_ref)) if base_ref > 0.0 => {
-                let committed_norm = base / base_ref;
-                let fresh_norm = row.p50_us / row.reference.p50_us;
-                if fresh_norm > committed_norm * PLAN_TOLERANCE {
-                    eprintln!(
-                        "FAIL: {} fused plan regressed: p50/reference-p50 {:.3} vs committed {:.3} (> {PLAN_TOLERANCE}x)",
-                        row.name, fresh_norm, committed_norm
-                    );
-                    failures += 1;
-                } else {
-                    eprintln!(
-                        "OK: {} fused p50/reference-p50 {:.3} vs committed {:.3}",
-                        row.name, fresh_norm, committed_norm
-                    );
-                }
-            }
-            _ => {
+        // Work gate: the seeded query set's counters and result-entry
+        // count must match the committed sums exactly.
+        match committed_row.and_then(|r| r.get("work")) {
+            None => {
                 eprintln!(
-                    "FAIL: baseline has no single_source_reference.p50_us entry for {} (regenerate BENCH_query.json)",
+                    "FAIL: baseline has no work entry for {} (regenerate BENCH_query.json)",
                     row.name
                 );
                 failures += 1;
+            }
+            Some(committed_work) => {
+                let mut differs = false;
+                for (key, fresh) in row.work.fields() {
+                    let base = committed_work.get(key).and_then(mini_json::Value::as_f64);
+                    if base != Some(fresh as f64) {
+                        let base = base.map_or("nothing".to_string(), |b| b.to_string());
+                        eprintln!("FAIL: {} work.{key} is {fresh}, committed {base}", row.name);
+                        differs = true;
+                    }
+                }
+                if differs {
+                    failures += 1;
+                } else {
+                    eprintln!(
+                        "OK: {} work matches committed ({} queries, {} walks)",
+                        row.name, row.work.queries, row.work.walks
+                    );
+                }
             }
         }
         // Memory guardrail: the committed row must carry the index block

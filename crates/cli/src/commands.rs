@@ -5,8 +5,8 @@ use prsim_core::{
     DynamicParams, DynamicPrsim, HubCount, Prsim, PrsimConfig, PrsimIndex, QueryParams, UpdateMode,
 };
 use prsim_gen::{
-    barabasi_albert, erdos_renyi_directed, planted_partition, try_chung_lu_directed,
-    try_chung_lu_undirected, ChungLuConfig,
+    try_barabasi_albert, try_chung_lu_directed, try_chung_lu_undirected, try_erdos_renyi_directed,
+    try_planted_partition, ChungLuConfig,
 };
 use prsim_graph::degrees::{degree_stats, powerlaw_exponent_ccdf_fit, DegreeKind};
 use prsim_graph::io::{read_binary_file, read_edge_list_file};
@@ -168,19 +168,21 @@ pub fn generate(argv: &[String]) -> Result<(), String> {
         "ba" => {
             let n: usize = args.require_parsed("n")?;
             let m: usize = args.get_parsed("m-attach", 4)?;
-            barabasi_albert(n, m, seed)
+            try_barabasi_albert(n, m, seed).map_err(|e| e.to_string())?
         }
         "er" => {
             let n: usize = args.require_parsed("n")?;
             let d: f64 = args.get_parsed("avg-degree", 10.0)?;
-            erdos_renyi_directed(n, d / (n as f64 - 1.0).max(1.0), seed)
+            try_erdos_renyi_directed(n, d / (n as f64 - 1.0).max(1.0), seed)
+                .map_err(|e| e.to_string())?
         }
         "sbm" => {
             let communities: usize = args.require_parsed("communities")?;
             let size: usize = args.require_parsed("size")?;
             let p_in: f64 = args.get_parsed("p-in", 0.2)?;
             let p_out: f64 = args.get_parsed("p-out", 0.01)?;
-            planted_partition(communities, size, p_in, p_out, seed)
+            try_planted_partition(communities, size, p_in, p_out, seed)
+                .map_err(|e| e.to_string())?
         }
         other => return Err(format!("unknown model {other:?}")),
     };

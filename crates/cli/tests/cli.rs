@@ -335,6 +335,16 @@ fn generate_rejects_out_of_domain_chung_lu_parameters() {
             &["chung-lu-directed", "--n", "50", "--gamma-in", "0"],
             "gamma_in must be positive, got 0",
         ),
+        (
+            &["ba", "--n", "0"],
+            "n must be greater than m_attach, got 0",
+        ),
+        // The CLI targets p = avg-degree / (n - 1): 10 at n = 2.
+        (&["er", "--n", "2"], "p must be in [0, 1], got 10"),
+        (
+            &["sbm", "--communities", "0", "--size", "5"],
+            "communities must be positive, got 0",
+        ),
     ];
     for (params, message) in cases {
         let mut args = vec!["generate"];

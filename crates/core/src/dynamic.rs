@@ -476,17 +476,6 @@ impl DynamicPrsim {
             None => Ok(()),
         }
     }
-
-    /// Overrides the query back-half plan for every engine this wrapper
-    /// builds or has built — the dynamic analogue of
-    /// [`Prsim::set_query_plan`]. Like it, this exists for measurement
-    /// and differential testing; the `Auto` default is correct.
-    pub fn set_query_plan(&mut self, plan: crate::QueryPlan) {
-        self.config.plan = plan;
-        if let Some(engine) = self.engine.as_mut() {
-            engine.set_query_plan(plan);
-        }
-    }
 }
 
 #[cfg(test)]

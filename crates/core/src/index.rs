@@ -186,8 +186,8 @@ impl Postings<'_> {
 
     /// Folds the run into a dense accumulator as `acc[v] += scale·ψ`,
     /// through the branchless 8-lane scatter
-    /// ([`crate::workspace::DenseScratch::scatter_scaled`]) — the fused
-    /// query plan's `ŝ_I` consumption path: one `bounds` probe resolved
+    /// ([`crate::workspace::DenseScratch::scatter_scaled`]) — the
+    /// query's `ŝ_I` consumption path: one `bounds` probe resolved
     /// this slice, and this call is the entire per-run aggregation (no
     /// intermediate scaled stream, no radix sort). Nodes within a run
     /// ascend, so the dense writes sweep forward prefetch-friendly.
@@ -741,10 +741,8 @@ impl PrsimIndex {
     }
 
     /// Whether the postings arena is fully memory-resident. False for a
-    /// paged arena ([`Self::open_paged`]); the fused query plan's `Auto`
-    /// resolution ([`crate::Prsim::query_plan`]) keys off this to route
-    /// paged arenas through the reference pipeline, whose per-terminal
-    /// lookups tolerate page faults.
+    /// paged arena ([`Self::open_paged`]), whose postings lookups are
+    /// fallible pinned reads.
     #[inline]
     pub fn is_resident(&self) -> bool {
         self.paged.is_none()

@@ -76,7 +76,7 @@ pub mod walk;
 pub mod walkcache;
 pub mod workspace;
 
-pub use config::{DynamicParams, HubCount, PrsimConfig, QueryParams, QueryPlan};
+pub use config::{DynamicParams, HubCount, PrsimConfig, QueryParams};
 pub use dynamic::{DynamicPrsim, DynamicTotals, UpdateMode, UpdateStats};
 pub use index::{HubTouchSets, IndexStats, Postings, PrsimIndex, ReservePrecision};
 pub use paging::{BufferPool, PageScrub, PagedOptions, PagingStats, PostingsScratch};

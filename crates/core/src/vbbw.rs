@@ -22,11 +22,10 @@
 //! in-degrees *inline with the out-adjacency*
 //! ([`DiGraph::out_neighbors_with_in_degrees`]) — one sequential stream
 //! instead of a random per-neighbor probe. The query engine calls
-//! [`variance_bounded_backward_walk_with_workspace`] once per non-hub
-//! terminal; [`variance_bounded_backward_walks_interleaved`] is the
-//! batched 8-lane variant for latency-bound hosts, currently *not* on
-//! the engine's hot path (the phase-separated loop measured faster on
-//! the benchmark box — see `BENCH_query.json`).
+//! [`variance_bounded_backward_walk_fold_with_workspace`] once per
+//! non-hub terminal; [`variance_bounded_backward_walk_with_workspace`]
+//! is its materializing twin, kept as the oracle the fold is checked
+//! against.
 
 use prsim_graph::{DiGraph, NodeId};
 use rand::Rng;
@@ -274,22 +273,20 @@ pub fn variance_bounded_backward_walk_with_workspace<'ws, R: Rng + ?Sized>(
 /// the walk's estimates are handed to `fold(v, π̂_ℓ(v,w))` instead of
 /// being materialized as a sorted output, and the next level's CSR lines
 /// are prefetched while the current level is still being processed.
-/// Returns the neighbor-visit cost. This is the fused query plan's
-/// backward kernel ([`crate::QueryPlan::Fused`]).
+/// Returns the neighbor-visit cost. This is the query engine's backward
+/// kernel.
 ///
 /// Two deliberate contracts versus the materializing walk:
 ///
 /// * **Identical RNG stream.** The frontier sequence through the final
 ///   level is the same (levels before the last still coalesce into
-///   `cur`), so every coin and tail draw is consumed in the same order —
-///   a fused query draws bit-for-bit the same walks as a reference
-///   query. Prefetches are pure scheduling hints and draw nothing.
+///   `cur`), so every coin and tail draw is consumed in the same order.
+///   Prefetches are pure scheduling hints and draw nothing.
 /// * **Final level folds raw.** The last level's propagations are
 ///   emitted in push order without the final coalesce, so a node
 ///   receiving two increments `d₁, d₂` reaches the accumulator as
-///   `s·d₁ + s·d₂` instead of `s·(d₁+d₂)` — the one reassociation the
-///   fused plan admits (`QueryPlan` docs; pinned at `1e-9` by the
-///   differential suite).
+///   `s·d₁ + s·d₂` instead of `s·(d₁+d₂)` — a float reassociation
+///   only (pinned at `1e-12` relative by this module's tests).
 pub fn variance_bounded_backward_walk_fold_with_workspace<R, F>(
     g: &DiGraph,
     sqrt_c: f64,
@@ -374,134 +371,6 @@ where
             ws.coalesce_next_into_cur();
             if ws.cur.is_empty() {
                 return cost;
-            }
-        }
-    }
-    cost
-}
-
-/// Runs one Variance Bounded Backward Walk per `(w, ℓ)` request with
-/// `LANES`-way interleaving: up to eight walks advance round-robin, one
-/// frontier node per turn, so their dependent random loads (out-list
-/// offsets, neighbors, in-degrees) overlap in the memory pipeline instead
-/// of serializing — the same trick the √c-walk samplers use, applied to
-/// the query's per-terminal backward walks. Each completed walk's
-/// estimates are handed to `fold(v, π̂_ℓ(v,w))` in completion order
-/// (deterministic for a fixed seed). Statistically every walk is exactly
-/// a [`variance_bounded_backward_walk`] draw — only the RNG interleaving
-/// differs. Returns the total neighbor-visit cost.
-///
-/// `lanes` holds the per-lane frontier scratch and is grown to eight
-/// workspaces on first use (reuse it across calls to stay
-/// allocation-free).
-///
-/// Status: an opt-in kernel for latency-bound hosts. The query engine
-/// currently runs the serial per-terminal walk, which measured faster on
-/// the benchmark box (see `BENCH_query.json`'s protocol note).
-pub fn variance_bounded_backward_walks_interleaved<R, F>(
-    g: &DiGraph,
-    sqrt_c: f64,
-    requests: &[(NodeId, u32)],
-    lanes: &mut Vec<BackwardWorkspace>,
-    rng: &mut R,
-    mut fold: F,
-) -> usize
-where
-    R: Rng + ?Sized,
-    F: FnMut(NodeId, f64),
-{
-    const LANES: usize = 8;
-    assert_sorted(g);
-    let alpha = 1.0 - sqrt_c;
-    if lanes.len() < LANES {
-        lanes.resize_with(LANES, BackwardWorkspace::new);
-    }
-    let mut node_idx = [0usize; LANES];
-    let mut levels_left = [0usize; LANES];
-    let mut live = 0usize;
-    let mut next_req = 0usize;
-    let mut cost = 0usize;
-
-    // Activates pending requests until the lanes are full; level-0 walks
-    // are exact (`π̂_0 = {w: 1−√c}`) and never occupy a lane.
-    macro_rules! refill {
-        () => {
-            while live < LANES && next_req < requests.len() {
-                let (w, level) = requests[next_req];
-                next_req += 1;
-                cost += 1;
-                if level == 0 {
-                    fold(w, alpha);
-                } else {
-                    let ws = &mut lanes[live];
-                    ws.cur.clear();
-                    ws.cur.push((w, alpha));
-                    ws.next.clear();
-                    node_idx[live] = 0;
-                    levels_left[live] = level as usize;
-                    live += 1;
-                }
-            }
-        };
-    }
-
-    refill!();
-    while live > 0 {
-        let mut lane = 0usize;
-        while lane < live {
-            // One frontier node of this lane's current level.
-            let ws = &mut lanes[lane];
-            let (x, mass) = ws.cur[node_idx[lane]];
-            cost += 1;
-            if rng.gen::<f64>() < sqrt_c {
-                let (neigh, degs) = g.out_neighbors_with_in_degrees(x);
-                let det_bound = mass / alpha;
-                let mut idx = 0usize;
-                while idx < neigh.len() {
-                    let d = degs[idx] as f64;
-                    if d > det_bound {
-                        break;
-                    }
-                    cost += 1;
-                    ws.next.push((neigh[idx], mass / d));
-                    idx += 1;
-                }
-                if idx < neigh.len() {
-                    let r: f64 = rng.gen_range(f64::EPSILON..1.0);
-                    let tail_bound = mass / (r * alpha);
-                    while idx < neigh.len() {
-                        if degs[idx] as f64 > tail_bound {
-                            break;
-                        }
-                        cost += 1;
-                        ws.next.push((neigh[idx], alpha));
-                        idx += 1;
-                    }
-                }
-            }
-            node_idx[lane] += 1;
-            if node_idx[lane] < ws.cur.len() {
-                lane += 1;
-                continue;
-            }
-            // Level finished: coalesce and either descend or retire.
-            ws.coalesce_next_into_cur();
-            levels_left[lane] -= 1;
-            node_idx[lane] = 0;
-            if levels_left[lane] == 0 || ws.cur.is_empty() {
-                if levels_left[lane] == 0 {
-                    for &(v, m) in &ws.cur {
-                        fold(v, m);
-                    }
-                }
-                live -= 1;
-                lanes.swap(lane, live);
-                node_idx[lane] = node_idx[live];
-                levels_left[lane] = levels_left[live];
-                refill!();
-                // The swapped-in (or refilled) walk runs this lane next.
-            } else {
-                lane += 1;
             }
         }
     }
@@ -595,9 +464,9 @@ mod tests {
 
     #[test]
     fn fold_kernel_matches_materialized_walk_and_rng_stream() {
-        // The fused query plan consumes the fold kernel; the reference
-        // plan materializes. Same seed ⇒ same RNG consumption (checked by
-        // drawing one more value afterwards), same cost, and per-node
+        // The query engine consumes the fold kernel; the materializing
+        // walk is its oracle. Same seed ⇒ same RNG consumption (checked
+        // by drawing one more value afterwards), same cost, and per-node
         // sums equal up to the documented final-level reassociation.
         use rand::RngCore;
         let g = sorted(prsim_gen::chung_lu_undirected(
@@ -684,55 +553,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn interleaved_batch_is_unbiased_like_serial() {
-        // The 8-lane scheduler must realize the same estimator law as the
-        // serial VBBW: empirical means over a large batch of identical
-        // requests match the exact ℓ-hop RPPR within Monte-Carlo noise.
-        let g = sorted(prsim_gen::chung_lu_undirected(
-            prsim_gen::ChungLuConfig::new(60, 4.0, 2.0, 6),
-        ));
-        let w = 0u32;
-        let level = 2usize;
-        let trials = 60_000usize;
-        let exact = exact_lhop_rppr_to(&g, SQRT_C, w, level);
-        let requests = vec![(w, level as u32); trials];
-        let mut lanes = Vec::new();
-        let mut rng = StdRng::seed_from_u64(17);
-        let mut acc: HashMap<NodeId, f64> = HashMap::new();
-        let cost = variance_bounded_backward_walks_interleaved(
-            &g,
-            SQRT_C,
-            &requests,
-            &mut lanes,
-            &mut rng,
-            |v, m| *acc.entry(v).or_insert(0.0) += m,
-        );
-        assert!(cost >= trials, "each walk visits at least its root");
-        for v in 0..g.node_count() as u32 {
-            let truth = exact[level][v as usize];
-            let est = acc.get(&v).copied().unwrap_or(0.0) / trials as f64;
-            let tol = 5.0 * (truth.max(1e-4) / trials as f64).sqrt() + 0.05 * truth;
-            assert!(
-                (est - truth).abs() < tol,
-                "v={v}: interleaved mean {est:.5} vs exact {truth:.5}"
-            );
-        }
-        // Level-0 requests are exact and never enter a lane.
-        let mut out = Vec::new();
-        let cost = variance_bounded_backward_walks_interleaved(
-            &g,
-            SQRT_C,
-            &[(7, 0), (9, 0)],
-            &mut lanes,
-            &mut rng,
-            |v, m| out.push((v, m)),
-        );
-        assert_eq!(cost, 2);
-        let alpha = 1.0 - SQRT_C;
-        assert_eq!(out, vec![(7, alpha), (9, alpha)]);
     }
 
     #[test]

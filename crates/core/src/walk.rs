@@ -144,433 +144,10 @@ pub fn sample_terminal_with_table<R: Rng + ?Sized>(
     }
 }
 
-/// Samples `count` √c-walk terminals from `source` with `LANES`-way
-/// interleaving: up to eight walks advance round-robin, so their
-/// dependent random loads (offsets, then in-neighbor) overlap in the
-/// memory pipeline instead of serializing — measured ~2.5x faster than
-/// one-walk-at-a-time on graphs larger than the cache. Completed
-/// terminals are appended to `out` in completion order (deterministic
-/// for a fixed seed, like every consumption order here); the return
-/// value counts walks that died. Statistically each walk is exactly a
-/// [`sample_terminal_with_table`] draw — only the RNG interleaving
-/// differs.
-pub fn sample_terminals_interleaved<R: Rng + ?Sized>(
-    g: &DiGraph,
-    table: &GeomLenTable,
-    source: NodeId,
-    count: usize,
-    out: &mut Vec<(NodeId, u32)>,
-    rng: &mut R,
-) -> usize {
-    const LANES: usize = 8;
-    // Lane: (current node, remaining steps, drawn level).
-    let mut lanes: [(NodeId, usize, u32); LANES] = [(0, 0, 0); LANES];
-    let mut live = 0usize;
-    let mut started = 0usize;
-    let mut died = 0usize;
-
-    // Activates pending walks until the lanes are full; level-0 and
-    // capped walks never occupy a lane.
-    macro_rules! refill {
-        () => {
-            while live < LANES && started < count {
-                started += 1;
-                match table.sample_len(rng) {
-                    None => died += 1,
-                    Some(0) => out.push((source, 0)),
-                    Some(len) => {
-                        lanes[live] = (source, len, len as u32);
-                        live += 1;
-                    }
-                }
-            }
-        };
-    }
-
-    refill!();
-    while live > 0 {
-        let mut lane = 0usize;
-        while lane < live {
-            let (cur, rem, level) = lanes[lane];
-            let ins = g.in_neighbors(cur);
-            if ins.is_empty() {
-                died += 1;
-                live -= 1;
-                lanes[lane] = lanes[live];
-                refill!();
-                continue; // the swapped-in walk runs this lane index next
-            }
-            let nxt = ins[rng.gen_range(0..ins.len())];
-            if rem == 1 {
-                out.push((nxt, level));
-                live -= 1;
-                lanes[lane] = lanes[live];
-                refill!();
-            } else {
-                lanes[lane] = (nxt, rem - 1, level);
-                lane += 1;
-            }
-        }
-    }
-    died
-}
-
-/// Samples `count` √c-walk terminals from `source` and, for each
-/// terminal `(w, ℓ)`, immediately runs its `η(w)` rejection test (one
-/// pair of √c-walks from `w`, meeting at some step `i ≥ 1`), all in one
-/// `LANES`-way interleaved scheduler. Fusing the two phases matters on
-/// graphs larger than the cache: the pair walk's first step reads
-/// `in_neighbors(w)`, which the terminal walk's last step just loaded —
-/// running the test while that line is still resident removes the
-/// coldest access of the old separate pair pass. Completed samples are
-/// appended to `out` as `(w, ℓ, met)` in completion order (deterministic
-/// for a fixed seed); the return value counts walks that died.
-/// Statistically each sample is exactly a [`sample_terminal_with_table`]
-/// draw followed by an independent [`sample_walks_meet_with_table`] draw
-/// from `(w, w)` — only the RNG interleaving differs.
-///
-/// Status: the faithful-output reference for the engine's
-/// [`sample_walk_phase_interleaved`], which extends this scheduler with
-/// cache hooks and drops level-0 (diagonal-only) samples. This variant
-/// emits every sample and takes no cache, so it remains the right kernel
-/// for callers that need the unfiltered `(w, ℓ, met)` stream; any fix to
-/// the lane-swap or cap-composition logic here must be mirrored there
-/// (and vice versa — the two schedulers are intentionally line-parallel).
-pub fn sample_terminals_with_eta_interleaved<R: Rng + ?Sized>(
-    g: &DiGraph,
-    table: &GeomLenTable,
-    source: NodeId,
-    count: usize,
-    out: &mut Vec<(NodeId, u32, bool)>,
-    rng: &mut R,
-) -> usize {
-    const LANES: usize = 8;
-    #[derive(Clone, Copy)]
-    struct Lane {
-        /// Walk cursor (walk mode) or pair walk a (pair mode).
-        a: NodeId,
-        /// Pair walk b (pair mode; unused in walk mode).
-        b: NodeId,
-        /// The terminal node `w` under η test (pair mode only).
-        w: NodeId,
-        /// Remaining steps of the current mode.
-        rem: usize,
-        /// The terminal's drawn level ℓ.
-        level: u32,
-        /// False: sampling the terminal walk; true: running its η pair.
-        pair: bool,
-    }
-    const IDLE: Lane = Lane {
-        a: 0,
-        b: 0,
-        w: 0,
-        rem: 0,
-        level: 0,
-        pair: false,
-    };
-    let mut lanes = [IDLE; LANES];
-    let mut live = 0usize;
-    let mut started = 0usize;
-    let mut died = 0usize;
-
-    // Starts the η test for terminal (w, level) in the free lane slot
-    // `slot`. Zero-step pairs (either walk terminates before moving)
-    // resolve inline to "no meeting"; returns whether the slot was taken.
-    macro_rules! start_pair {
-        ($slot:expr, $w:expr, $level:expr) => {{
-            let la = table.len_or_cap(rng);
-            let lb = table.len_or_cap(rng);
-            let steps = la.min(lb);
-            if steps == 0 {
-                out.push(($w, $level, false));
-                false
-            } else {
-                lanes[$slot] = Lane {
-                    a: $w,
-                    b: $w,
-                    w: $w,
-                    rem: steps,
-                    level: $level,
-                    pair: true,
-                };
-                true
-            }
-        }};
-    }
-
-    // Activates pending terminal walks until the lanes are full;
-    // level-0 walks go straight to their η test.
-    macro_rules! refill {
-        () => {
-            while live < LANES && started < count {
-                started += 1;
-                match table.sample_len(rng) {
-                    None => died += 1,
-                    Some(0) => {
-                        if start_pair!(live, source, 0) {
-                            live += 1;
-                        }
-                    }
-                    Some(len) => {
-                        lanes[live] = Lane {
-                            a: source,
-                            rem: len,
-                            level: len as u32,
-                            ..IDLE
-                        };
-                        live += 1;
-                    }
-                }
-            }
-        };
-    }
-
-    refill!();
-    while live > 0 {
-        let mut lane = 0usize;
-        while lane < live {
-            let Lane {
-                a,
-                b,
-                w,
-                rem,
-                level,
-                pair,
-            } = lanes[lane];
-            if !pair {
-                // Terminal-walk mode: one in-neighbor step.
-                let ins = g.in_neighbors(a);
-                if ins.is_empty() {
-                    died += 1;
-                    live -= 1;
-                    lanes[lane] = lanes[live];
-                    refill!();
-                    continue; // the swapped-in walk runs this lane next
-                }
-                let nxt = ins[rng.gen_range(0..ins.len())];
-                if rem == 1 {
-                    // Terminal reached: flip the lane into its η test
-                    // while nxt's in-list is still cache-hot.
-                    if start_pair!(lane, nxt, level) {
-                        lane += 1;
-                    } else {
-                        live -= 1;
-                        lanes[lane] = lanes[live];
-                        refill!();
-                    }
-                } else {
-                    lanes[lane].a = nxt;
-                    lanes[lane].rem = rem - 1;
-                    lane += 1;
-                }
-                continue;
-            }
-            // Pair mode: advance both walks one step in lockstep.
-            let ins_a = g.in_neighbors(a);
-            if ins_a.is_empty() {
-                out.push((w, level, false));
-                live -= 1;
-                lanes[lane] = lanes[live];
-                refill!();
-                continue;
-            }
-            let na = ins_a[rng.gen_range(0..ins_a.len())];
-            // η pairs start at (w, w): reuse the slice on the shared step.
-            let ins_b = if b == a { ins_a } else { g.in_neighbors(b) };
-            if ins_b.is_empty() {
-                out.push((w, level, false));
-                live -= 1;
-                lanes[lane] = lanes[live];
-                refill!();
-                continue;
-            }
-            let nb = ins_b[rng.gen_range(0..ins_b.len())];
-            if na == nb || rem == 1 {
-                out.push((w, level, na == nb));
-                live -= 1;
-                lanes[lane] = lanes[live];
-                refill!();
-            } else {
-                lanes[lane].a = na;
-                lanes[lane].b = nb;
-                lanes[lane].rem = rem - 1;
-                lane += 1;
-            }
-        }
-    }
-    died
-}
-
-/// For every start pair `(a, b)` in `pairs`, samples one √c-walk from
-/// each and records in `met_out[i]` whether the walks meet at some step
-/// `i ≥ 1` — the interleaved batch form of [`sample_walks_meet`] (walk
-/// pairs advance round-robin to overlap their random loads). The query
-/// engine now fuses this into
-/// [`sample_terminals_with_eta_interleaved`]; the standalone batch form
-/// remains for callers that bring their own pair lists.
-pub fn sample_pairs_meet_interleaved<R: Rng + ?Sized>(
-    g: &DiGraph,
-    table: &GeomLenTable,
-    pairs: &[(NodeId, NodeId)],
-    met_out: &mut Vec<bool>,
-    rng: &mut R,
-) {
-    const LANES: usize = 8;
-    met_out.clear();
-    met_out.resize(pairs.len(), false);
-    // Lane: (walk a, walk b, remaining lockstep steps, pair index).
-    let mut lanes: [(NodeId, NodeId, usize, usize); LANES] = [(0, 0, 0, 0); LANES];
-    let mut live = 0usize;
-    let mut started = 0usize;
-
-    macro_rules! refill {
-        () => {
-            while live < LANES && started < pairs.len() {
-                let idx = started;
-                started += 1;
-                let la = table.len_or_cap(rng);
-                let lb = table.len_or_cap(rng);
-                let steps = la.min(lb);
-                if steps > 0 {
-                    let (a, b) = pairs[idx];
-                    lanes[live] = (a, b, steps, idx);
-                    live += 1;
-                }
-                // steps == 0: at least one walk never moves, no meeting.
-            }
-        };
-    }
-
-    refill!();
-    while live > 0 {
-        let mut lane = 0usize;
-        while lane < live {
-            let (a, b, rem, idx) = lanes[lane];
-            let ins_a = g.in_neighbors(a);
-            if ins_a.is_empty() {
-                live -= 1;
-                lanes[lane] = lanes[live];
-                refill!();
-                continue;
-            }
-            let na = ins_a[rng.gen_range(0..ins_a.len())];
-            // η pairs start at (w, w): reuse the slice on the shared step.
-            let ins_b = if b == a { ins_a } else { g.in_neighbors(b) };
-            if ins_b.is_empty() {
-                live -= 1;
-                lanes[lane] = lanes[live];
-                refill!();
-                continue;
-            }
-            let nb = ins_b[rng.gen_range(0..ins_b.len())];
-            if na == nb {
-                met_out[idx] = true;
-                live -= 1;
-                lanes[lane] = lanes[live];
-                refill!();
-            } else if rem == 1 {
-                live -= 1;
-                lanes[lane] = lanes[live];
-                refill!();
-            } else {
-                lanes[lane] = (na, nb, rem - 1, idx);
-                lane += 1;
-            }
-        }
-    }
-}
-
-/// One in-flight walk of the sorted-wavefront terminal kernel.
-#[derive(Clone, Copy, Debug, Default)]
-struct WalkState {
-    /// Current node.
-    cur: NodeId,
-    /// Remaining steps of the drawn length.
-    rem: u32,
-    /// The drawn total length (= the terminal level when it retires).
-    len: u32,
-}
-
-/// One in-flight walk pair of the sorted-wavefront pair kernel.
-#[derive(Clone, Copy, Debug, Default)]
-struct PairState {
-    /// Walk a's current node (the sort key — pairs start at `(w, w)`, so
-    /// binning by `a` coalesces both walks' reads on the hottest step).
-    a: NodeId,
-    /// Walk b's current node.
-    b: NodeId,
-    /// Remaining lockstep steps.
-    rem: u32,
-    /// Index into the caller's pair list / verdict vector.
-    idx: u32,
-}
-
-/// Reusable frontier + radix scratch for the wavefront kernels
-/// ([`sample_terminals_wavefront`], [`sample_pairs_meet_wavefront`]).
-/// Buffers grow to the in-flight walk count on first use and are then
-/// allocation-free; [`crate::QueryWorkspace`] carries one per thread.
-#[derive(Clone, Debug, Default)]
-pub struct WaveScratch {
-    walks: Vec<WalkState>,
-    walks_next: Vec<WalkState>,
-    walks_tmp: Vec<WalkState>,
-    pairs: Vec<PairState>,
-    pairs_next: Vec<PairState>,
-    pairs_tmp: Vec<PairState>,
-}
-
-impl WaveScratch {
-    /// Creates an empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// Stable LSD radix sort of frontier entries by a `NodeId` key
-/// (the [`crate::workspace`] pattern, generalized over the entry type).
-/// Stability is what keeps RNG consumption deterministic: walks binned
-/// to the same node keep their arrival order. 8-bit digits, not the
-/// 11-bit of the big one-shot sorts: this sort runs once per wavefront
-/// *level* on a few hundred entries, where zeroing a 2048-bucket count
-/// table per pass would cost more than the sort — 256 buckets keep the
-/// fixed cost a cache line sweep.
-fn radix_sort_by_node<T: Copy + Default>(
-    data: &mut Vec<T>,
-    tmp: &mut Vec<T>,
-    key: impl Fn(&T) -> NodeId,
-) {
-    const CUTOFF: usize = 96;
-    const BITS: u32 = 8;
-    const BUCKETS: usize = 1 << BITS;
-    if data.len() <= CUTOFF {
-        data.sort_by_key(&key); // stable
-        return;
-    }
-    let max = data.iter().map(&key).max().expect("len > cutoff");
-    tmp.clear();
-    tmp.resize(data.len(), T::default());
-    let mut shift = 0u32;
-    while shift < 32 && (max >> shift) > 0 {
-        let mut counts = [0usize; BUCKETS + 1];
-        for x in data.iter() {
-            counts[((key(x) >> shift) as usize & (BUCKETS - 1)) + 1] += 1;
-        }
-        for i in 1..=BUCKETS {
-            counts[i] += counts[i - 1];
-        }
-        for &x in data.iter() {
-            let d = (key(&x) >> shift) as usize & (BUCKETS - 1);
-            tmp[counts[d]] = x;
-            counts[d] += 1;
-        }
-        std::mem::swap(data, tmp);
-        shift += BITS;
-    }
-}
-
 /// Pre-drawn terminal supplier consulted by
-/// [`sample_terminals_wavefront`] every time a walk **arrives** at a node
-/// (including the source at step 0, *before* the termination flip there).
+/// [`sample_walk_phase_interleaved`] every time a walk **arrives** at a
+/// node (including the source at step 0, *before* the termination flip
+/// there).
 ///
 /// By memorylessness of the geometric length, a walk alive on arrival at
 /// `x` has a future — remaining step count and terminal — distributed
@@ -613,8 +190,7 @@ impl TerminalDraws for NoDraws {
     }
 }
 
-/// Instrumentation of one walk-phase kernel run (wavefront or fused
-/// interleaved).
+/// Instrumentation of one [`sample_walk_phase_interleaved`] run.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct WaveStats {
     /// Walks that died (dangling node, length cap, or a died cached
@@ -623,206 +199,20 @@ pub struct WaveStats {
     /// Walks resolved by a cached terminal draw ([`TerminalDraws`] hits).
     pub cache_hits: usize,
     /// η tests resolved by a cached verdict bit
-    /// ([`TerminalDraws::try_eta`] hits; fused kernel only — the
-    /// wavefront terminal kernel leaves η to its caller).
+    /// ([`TerminalDraws::try_eta`] hits).
     pub eta_hits: usize,
-    /// Largest frontier the kernel carried across a level (0 for the
-    /// interleaved kernel, whose in-flight set is its 8 lanes).
-    pub peak_frontier: usize,
-    /// Levels the frontier stayed non-empty (0 for the interleaved
-    /// kernel).
-    pub levels: usize,
-    /// Level-0 samples dropped as diagonal-only
-    /// ([`sample_walk_phase_interleaved`] only; the wavefront kernels
-    /// emit level-0 terminals).
+    /// Level-0 samples dropped as diagonal-only.
     pub diagonal: usize,
 }
 
-/// Samples `count` √c-walk terminals from `source` as a
-/// **sorted wavefront**: all in-flight walks advance level-synchronously,
-/// and at every level the frontier is radix-binned by current node id so
-/// the CSR in-neighbor reads of one level run in ascending node order —
-/// sequential sweeps over the adjacency arrays instead of `count`
-/// independent pointer chases. Terminals retire into `out` in place as
-/// walks finish; the return value reports deaths, cache hits and frontier
-/// shape. RNG cost is hoisted out of the memory-bound phase: all walk
-/// lengths are drawn in one tight batch up front, and the per-level loop
-/// only draws the (Lemire multiply-shift) neighbor picks.
-///
-/// `cache` is consulted on every node arrival (see [`TerminalDraws`]);
-/// pass [`NoDraws`] for pure live sampling, under which every terminal is
-/// statistically exactly a [`sample_terminal_with_table`] draw — only the
-/// RNG consumption order differs. The retirement order is deterministic
-/// for a fixed seed (stable binning), like every consumption order here.
-#[allow(clippy::too_many_arguments)] // graph + table + walk spec + scratch
-pub fn sample_terminals_wavefront<R: Rng + ?Sized, C: TerminalDraws>(
-    g: &DiGraph,
-    table: &GeomLenTable,
-    source: NodeId,
-    count: usize,
-    cache: &mut C,
-    out: &mut Vec<(NodeId, u32)>,
-    ws: &mut WaveScratch,
-    rng: &mut R,
-) -> WaveStats {
-    let cap = table.cap() as u32;
-    let mut stats = WaveStats::default();
-    ws.walks.clear();
-    for _ in 0..count {
-        // Arrival at the source, step 0: a cached draw covers the whole
-        // walk, including the termination flip at the source itself.
-        match cache.try_draw(source, rng) {
-            Some(sample) => {
-                stats.cache_hits += 1;
-                match sample {
-                    // Pool samples are drawn under the same cap, so the
-                    // composed level `0 + extra` never exceeds it.
-                    Some((w, extra)) => out.push((w, extra)),
-                    None => stats.died += 1,
-                }
-            }
-            None => match table.sample_len(rng) {
-                None => stats.died += 1,
-                Some(0) => out.push((source, 0)),
-                Some(len) => ws.walks.push(WalkState {
-                    cur: source,
-                    rem: len as u32,
-                    len: len as u32,
-                }),
-            },
-        }
-    }
-    while !ws.walks.is_empty() {
-        stats.levels += 1;
-        stats.peak_frontier = stats.peak_frontier.max(ws.walks.len());
-        radix_sort_by_node(&mut ws.walks, &mut ws.walks_tmp, |w| w.cur);
-        ws.walks_next.clear();
-        let mut i = 0usize;
-        while i < ws.walks.len() {
-            let cur = ws.walks[i].cur;
-            // One slice fetch per node group; the group shares the line.
-            let ins = g.in_neighbors(cur);
-            while i < ws.walks.len() && ws.walks[i].cur == cur {
-                let WalkState { rem, len, .. } = ws.walks[i];
-                i += 1;
-                if ins.is_empty() {
-                    stats.died += 1; // survived its flip with nowhere to go
-                    continue;
-                }
-                let nxt = ins[rng.gen_range(0..ins.len())];
-                // Steps taken after this move; the walk is alive arriving
-                // at nxt, so a cached draw may replace its remainder.
-                let taken = len - rem + 1;
-                match cache.try_draw(nxt, rng) {
-                    Some(sample) => {
-                        stats.cache_hits += 1;
-                        match sample {
-                            Some((w, extra)) if taken + extra <= cap => {
-                                out.push((w, taken + extra))
-                            }
-                            // Died sample, or the composed walk outlives
-                            // the cap: dies either way.
-                            _ => stats.died += 1,
-                        }
-                    }
-                    None => {
-                        if rem == 1 {
-                            out.push((nxt, len));
-                        } else {
-                            ws.walks_next.push(WalkState {
-                                cur: nxt,
-                                rem: rem - 1,
-                                len,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        std::mem::swap(&mut ws.walks, &mut ws.walks_next);
-    }
-    stats
-}
-
-/// For every start pair `(a, b)` in `pairs`, samples one √c-walk from
-/// each in lockstep and records in `met_out[i]` whether they meet at some
-/// step `i ≥ 1` — the sorted-wavefront form of
-/// [`sample_pairs_meet_interleaved`]: all live pairs advance
-/// level-synchronously with the frontier radix-binned by walk a's current
-/// node (pairs start at `(w, w)`, so on the dominant first step both
-/// walks of a pair read the same in-list and groups of pairs from the
-/// same terminal coalesce onto one slice). Verdicts are bit-equivalent in
-/// distribution to the interleaved kernel; only RNG consumption order
-/// differs.
-pub fn sample_pairs_meet_wavefront<R: Rng + ?Sized>(
-    g: &DiGraph,
-    table: &GeomLenTable,
-    pairs: &[(NodeId, NodeId)],
-    met_out: &mut Vec<bool>,
-    ws: &mut WaveScratch,
-    rng: &mut R,
-) {
-    assert!(
-        u32::try_from(pairs.len()).is_ok(),
-        "pair batch exceeds u32 indexing"
-    );
-    met_out.clear();
-    met_out.resize(pairs.len(), false);
-    ws.pairs.clear();
-    for (idx, &(a, b)) in pairs.iter().enumerate() {
-        let steps = table.len_or_cap(rng).min(table.len_or_cap(rng));
-        if steps > 0 {
-            ws.pairs.push(PairState {
-                a,
-                b,
-                rem: steps as u32,
-                idx: idx as u32,
-            });
-        }
-        // steps == 0: at least one walk never moves, no meeting.
-    }
-    while !ws.pairs.is_empty() {
-        radix_sort_by_node(&mut ws.pairs, &mut ws.pairs_tmp, |p| p.a);
-        ws.pairs_next.clear();
-        let mut i = 0usize;
-        while i < ws.pairs.len() {
-            let cur = ws.pairs[i].a;
-            let ins_a = g.in_neighbors(cur);
-            while i < ws.pairs.len() && ws.pairs[i].a == cur {
-                let PairState { b, rem, idx, .. } = ws.pairs[i];
-                i += 1;
-                if ins_a.is_empty() {
-                    continue; // walk a dies: no meeting
-                }
-                let na = ins_a[rng.gen_range(0..ins_a.len())];
-                // η pairs start at (w, w): reuse the slice on shared steps.
-                let ins_b = if b == cur { ins_a } else { g.in_neighbors(b) };
-                if ins_b.is_empty() {
-                    continue;
-                }
-                let nb = ins_b[rng.gen_range(0..ins_b.len())];
-                if na == nb {
-                    met_out[idx as usize] = true;
-                } else if rem > 1 {
-                    ws.pairs_next.push(PairState {
-                        a: na,
-                        b: nb,
-                        rem: rem - 1,
-                        idx,
-                    });
-                }
-            }
-        }
-        std::mem::swap(&mut ws.pairs, &mut ws.pairs_next);
-    }
-}
-
-/// The engine's fused walk phase: samples `count` √c-walk terminals from
-/// `source` and resolves each surviving terminal's η verdict, with
-/// `LANES`-way interleaving **and** cache consumption — the
-/// [`sample_terminals_with_eta_interleaved`] scheduler extended with
-/// [`TerminalDraws`] hooks on every walk arrival (terminal pools) and
-/// every terminal (η verdict pools).
+/// The engine's walk phase: samples `count` √c-walk terminals from
+/// `source` and resolves each surviving terminal's η verdict (one pair
+/// of √c-walks from `w`, meeting at some step `i ≥ 1`), all in one
+/// `LANES`-way interleaved scheduler with [`TerminalDraws`] hooks on
+/// every walk arrival (terminal pools) and every terminal (η verdict
+/// pools). Running the η test in the lane that just reached `w` matters
+/// on graphs larger than the cache: the pair walk's first step reads
+/// `in_neighbors(w)`, which the terminal walk's last step just loaded.
 ///
 /// **Level-0 samples are dropped** (counted in
 /// [`WaveStats::diagonal`]): a walk that terminates before moving sits
@@ -831,54 +221,23 @@ pub fn sample_pairs_meet_wavefront<R: Rng + ?Sized>(
 /// exclusively on the diagonal estimate `ŝ(u, u)`, which the engine
 /// pins to 1 by definition. Skipping them changes no off-diagonal
 /// estimate and saves ~`1 − √c` of the η phase outright, so this kernel
-/// is for callers that also pin the diagonal; the general-purpose
-/// samplers above emit level-0 terminals faithfully.
+/// is for callers that also pin the diagonal; the single-walk samplers
+/// in this module emit level-0 terminals faithfully.
 ///
 /// A cached terminal draw retires the walk on the spot — the pre-drawn
 /// sample replaces the entire remaining pointer chase — and a cached η
 /// bit skips the pair walk entirely, so on power-law graphs the hottest
 /// (top-π) part of the walk mass never touches the adjacency arrays at
 /// all. Interleaving keeps up to eight live walks' dependent random
-/// loads overlapping in the memory pipeline, which is what wins over
-/// one-walk-at-a-time *and* over level-synchronous execution at
-/// per-query batch sizes (see [`sample_terminals_wavefront`] for the
-/// sorted regime the engine switches to on large frontiers). Completed
-/// samples are appended to `out` as `(w, ℓ, met)` in completion order
-/// (deterministic for a fixed seed); the kernel draws every walk length
-/// in the refill batch, keeping the RNG state hot in registers through
-/// the memory-bound stepping loop.
+/// loads overlapping in the memory pipeline, and every lane advance
+/// prefetches the in-offset and in-list lines the lane's *next* turn
+/// will read, so the seven other lanes' work hides the miss (prefetches
+/// draw nothing). Completed samples are appended to `out` as
+/// `(w, ℓ, met)` in completion order (deterministic for a fixed seed);
+/// statistically each sample is exactly a [`sample_terminal_with_table`]
+/// draw followed by an independent [`sample_walks_meet_with_table`] draw
+/// from `(w, w)` — only the RNG interleaving differs.
 pub fn sample_walk_phase_interleaved<R: Rng + ?Sized, C: TerminalDraws>(
-    g: &DiGraph,
-    table: &GeomLenTable,
-    source: NodeId,
-    count: usize,
-    cache: &mut C,
-    out: &mut Vec<(NodeId, u32, bool)>,
-    rng: &mut R,
-) -> WaveStats {
-    sample_walk_phase_interleaved_impl::<R, C, false>(g, table, source, count, cache, out, rng)
-}
-
-/// [`sample_walk_phase_interleaved`] with software prefetch on every
-/// lane advance: when a walk steps to `nxt`, the in-offset and in-list
-/// lines `nxt` will need on the lane's *next* turn are requested now,
-/// so the seven other lanes' work hides the miss instead of the lane
-/// stalling on it. Draw-free — the output and the RNG stream are
-/// bit-identical to the plain kernel — so the fused query plan can use
-/// it while the reference plan keeps the unhinted baseline kernel.
-pub fn sample_walk_phase_interleaved_prefetch<R: Rng + ?Sized, C: TerminalDraws>(
-    g: &DiGraph,
-    table: &GeomLenTable,
-    source: NodeId,
-    count: usize,
-    cache: &mut C,
-    out: &mut Vec<(NodeId, u32, bool)>,
-    rng: &mut R,
-) -> WaveStats {
-    sample_walk_phase_interleaved_impl::<R, C, true>(g, table, source, count, cache, out, rng)
-}
-
-fn sample_walk_phase_interleaved_impl<R: Rng + ?Sized, C: TerminalDraws, const PF: bool>(
     g: &DiGraph,
     table: &GeomLenTable,
     source: NodeId,
@@ -935,10 +294,8 @@ fn sample_walk_phase_interleaved_impl<R: Rng + ?Sized, C: TerminalDraws, const P
                         out.push(($w, $level, false));
                         false
                     } else {
-                        if PF {
-                            g.prefetch_in_offsets($w);
-                            g.prefetch_in_lists($w);
-                        }
+                        g.prefetch_in_offsets($w);
+                        g.prefetch_in_lists($w);
                         lanes[$slot] = Lane {
                             a: $w,
                             b: $w,
@@ -1055,10 +412,8 @@ fn sample_walk_phase_interleaved_impl<R: Rng + ?Sized, C: TerminalDraws, const P
                                 retire_lane!(lane);
                             }
                         } else {
-                            if PF {
-                                g.prefetch_in_offsets(nxt);
-                                g.prefetch_in_lists(nxt);
-                            }
+                            g.prefetch_in_offsets(nxt);
+                            g.prefetch_in_lists(nxt);
                             lanes[lane].a = nxt;
                             lanes[lane].rem = rem - 1;
                             lane += 1;
@@ -1087,12 +442,10 @@ fn sample_walk_phase_interleaved_impl<R: Rng + ?Sized, C: TerminalDraws, const P
                 out.push((w, level, na == nb));
                 retire_lane!(lane);
             } else {
-                if PF {
-                    g.prefetch_in_offsets(na);
-                    g.prefetch_in_lists(na);
-                    g.prefetch_in_offsets(nb);
-                    g.prefetch_in_lists(nb);
-                }
+                g.prefetch_in_offsets(na);
+                g.prefetch_in_lists(na);
+                g.prefetch_in_offsets(nb);
+                g.prefetch_in_lists(nb);
                 lanes[lane].a = na;
                 lanes[lane].b = nb;
                 lanes[lane].rem = rem - 1;
@@ -1556,117 +909,6 @@ mod tests {
     }
 
     #[test]
-    fn interleaved_terminals_match_sequential_distribution() {
-        let n = 5usize;
-        let g = prsim_gen::toys::cycle(n);
-        let table = GeomLenTable::new(SQRT_C, 64);
-        let mut r = rng();
-        let trials = 120_000usize;
-        let mut out = Vec::new();
-        let died = sample_terminals_interleaved(&g, &table, 0, trials, &mut out, &mut r);
-        assert_eq!(died + out.len(), trials, "every walk must be accounted for");
-        assert_eq!(died, 0, "no dangling nodes on a cycle");
-        let mut level_counts = [0usize; 8];
-        for &(node, level) in &out {
-            let want = ((n as i64 - level as i64 % n as i64) % n as i64) as u32;
-            assert_eq!(node, want, "interleaving must not corrupt walk state");
-            if (level as usize) < level_counts.len() {
-                level_counts[level as usize] += 1;
-            }
-        }
-        for (l, &count) in level_counts.iter().enumerate() {
-            let want = SQRT_C.powi(l as i32) * (1.0 - SQRT_C);
-            let got = count as f64 / trials as f64;
-            assert!(
-                (got - want).abs() < 0.008,
-                "level {l}: interleaved {got:.4} vs geometric {want:.4}"
-            );
-        }
-        // Empty batch and dangling source behave.
-        out.clear();
-        assert_eq!(
-            sample_terminals_interleaved(&g, &table, 0, 0, &mut out, &mut r),
-            0
-        );
-        assert!(out.is_empty());
-        let lonely = prsim_graph::DiGraph::from_edges(1, &[]);
-        out.clear();
-        let died = sample_terminals_interleaved(&lonely, &table, 0, 10_000, &mut out, &mut r);
-        assert!(out.iter().all(|&(node, level)| node == 0 && level == 0));
-        assert_eq!(died + out.len(), 10_000);
-    }
-
-    #[test]
-    fn fused_terminal_eta_sampler_matches_separate_phases() {
-        // On a cycle the terminal node is a deterministic function of the
-        // level and both η walks move in lockstep through the unique
-        // in-neighbor, so they meet iff both survive step 1: P(met) = c.
-        let n = 5usize;
-        let g = prsim_gen::toys::cycle(n);
-        let table = GeomLenTable::new(SQRT_C, 64);
-        let mut r = rng();
-        let trials = 120_000usize;
-        let mut out = Vec::new();
-        let died = sample_terminals_with_eta_interleaved(&g, &table, 0, trials, &mut out, &mut r);
-        assert_eq!(died + out.len(), trials, "every walk must be accounted for");
-        assert_eq!(died, 0, "no dangling nodes on a cycle");
-        let mut level_counts = [0usize; 8];
-        let mut met = 0usize;
-        for &(node, level, m) in &out {
-            let want = ((n as i64 - level as i64 % n as i64) % n as i64) as u32;
-            assert_eq!(node, want, "fused scheduler must not corrupt walk state");
-            if (level as usize) < level_counts.len() {
-                level_counts[level as usize] += 1;
-            }
-            met += m as usize;
-        }
-        for (l, &count) in level_counts.iter().enumerate() {
-            let want = SQRT_C.powi(l as i32) * (1.0 - SQRT_C);
-            let got = count as f64 / trials as f64;
-            assert!(
-                (got - want).abs() < 0.008,
-                "level {l}: fused {got:.4} vs geometric {want:.4}"
-            );
-        }
-        let met_rate = met as f64 / out.len() as f64;
-        assert!(
-            (met_rate - 0.6).abs() < 0.008,
-            "lockstep meet rate {met_rate:.4}, want c = 0.6"
-        );
-        // Dangling source: all terminals are level-0 (or died), none meet.
-        let lonely = prsim_graph::DiGraph::from_edges(1, &[]);
-        out.clear();
-        let died =
-            sample_terminals_with_eta_interleaved(&lonely, &table, 0, 10_000, &mut out, &mut r);
-        assert!(out
-            .iter()
-            .all(|&(node, level, m)| node == 0 && level == 0 && !m));
-        assert_eq!(died + out.len(), 10_000);
-    }
-
-    #[test]
-    fn interleaved_pair_meets_match_sequential_rate() {
-        // star_in hub: both walks survive step 1 w.p. c and pick among 3
-        // leaves — meet probability c/3 = 0.2.
-        let g = prsim_gen::toys::star_in(4);
-        let table = GeomLenTable::new(SQRT_C, 64);
-        let mut r = rng();
-        let trials = 100_000usize;
-        let pairs = vec![(0u32, 0u32); trials];
-        let mut met = Vec::new();
-        sample_pairs_meet_interleaved(&g, &table, &pairs, &mut met, &mut r);
-        assert_eq!(met.len(), trials);
-        let rate = met.iter().filter(|&&m| m).count() as f64 / trials as f64;
-        assert!((rate - 0.2).abs() < 0.01, "interleaved meet rate {rate:.4}");
-        // Distinct sources: s(1,2) on star_out is c.
-        let g = prsim_gen::toys::star_out(6);
-        let pairs = vec![(1u32, 2u32); trials];
-        sample_pairs_meet_interleaved(&g, &table, &pairs, &mut met, &mut r);
-        let rate = met.iter().filter(|&&m| m).count() as f64 / trials as f64;
-        assert!((rate - 0.6).abs() < 0.01, "two-source meet rate {rate:.4}");
-    }
-
-    #[test]
     fn two_source_meeting_rate_is_simrank() {
         // star_out leaves share the hub as their only in-neighbor:
         // s(1,2) = c. The path-free two-source kernel must reproduce it.
@@ -1761,129 +1003,6 @@ mod tests {
             (eta_hub - want).abs() < 0.01,
             "eta {eta_hub:.4}, want {want:.4}"
         );
-    }
-
-    #[test]
-    fn wavefront_terminals_match_sequential_distribution() {
-        let n = 5usize;
-        let g = prsim_gen::toys::cycle(n);
-        let table = GeomLenTable::new(SQRT_C, 64);
-        let mut r = rng();
-        let trials = 120_000usize;
-        let mut out = Vec::new();
-        let mut ws = WaveScratch::new();
-        let stats = sample_terminals_wavefront(
-            &g,
-            &table,
-            0,
-            trials,
-            &mut NoDraws,
-            &mut out,
-            &mut ws,
-            &mut r,
-        );
-        assert_eq!(
-            stats.died + out.len(),
-            trials,
-            "every walk must be accounted for"
-        );
-        assert_eq!(stats.died, 0, "no dangling nodes on a cycle");
-        assert_eq!(stats.cache_hits, 0, "NoDraws never hits");
-        assert!(stats.peak_frontier > 0 && stats.peak_frontier <= trials);
-        let mut level_counts = [0usize; 8];
-        for &(node, level) in &out {
-            let want = ((n as i64 - level as i64 % n as i64) % n as i64) as u32;
-            assert_eq!(node, want, "wavefront must not corrupt walk state");
-            if (level as usize) < level_counts.len() {
-                level_counts[level as usize] += 1;
-            }
-        }
-        for (l, &count) in level_counts.iter().enumerate() {
-            let want = SQRT_C.powi(l as i32) * (1.0 - SQRT_C);
-            let got = count as f64 / trials as f64;
-            assert!(
-                (got - want).abs() < 0.008,
-                "level {l}: wavefront {got:.4} vs geometric {want:.4}"
-            );
-        }
-        // Empty batch and dangling source behave.
-        out.clear();
-        let stats =
-            sample_terminals_wavefront(&g, &table, 0, 0, &mut NoDraws, &mut out, &mut ws, &mut r);
-        assert_eq!(stats.died, 0);
-        assert!(out.is_empty());
-        let lonely = prsim_graph::DiGraph::from_edges(1, &[]);
-        out.clear();
-        let stats = sample_terminals_wavefront(
-            &lonely,
-            &table,
-            0,
-            10_000,
-            &mut NoDraws,
-            &mut out,
-            &mut ws,
-            &mut r,
-        );
-        assert!(out.iter().all(|&(node, level)| node == 0 && level == 0));
-        assert_eq!(stats.died + out.len(), 10_000);
-    }
-
-    #[test]
-    fn wavefront_terminals_deterministic_for_fixed_seed() {
-        let g = prsim_gen::chung_lu_undirected(prsim_gen::ChungLuConfig::new(200, 5.0, 2.0, 3));
-        let table = GeomLenTable::new(SQRT_C, 64);
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        let mut ws = WaveScratch::new();
-        let sa = sample_terminals_wavefront(
-            &g,
-            &table,
-            7,
-            5_000,
-            &mut NoDraws,
-            &mut a,
-            &mut ws,
-            &mut StdRng::seed_from_u64(5),
-        );
-        // A reused scratch must not leak state into the next run.
-        let sb = sample_terminals_wavefront(
-            &g,
-            &table,
-            7,
-            5_000,
-            &mut NoDraws,
-            &mut b,
-            &mut ws,
-            &mut StdRng::seed_from_u64(5),
-        );
-        assert_eq!(a, b, "same seed, same retirement order");
-        assert_eq!(sa.died, sb.died);
-        assert_eq!(sa.peak_frontier, sb.peak_frontier);
-    }
-
-    #[test]
-    fn wavefront_pairs_match_sequential_rate() {
-        // star_in hub: both walks survive step 1 w.p. c and pick among 3
-        // leaves — meet probability c/3 = 0.2.
-        let g = prsim_gen::toys::star_in(4);
-        let table = GeomLenTable::new(SQRT_C, 64);
-        let mut r = rng();
-        let trials = 100_000usize;
-        let pairs = vec![(0u32, 0u32); trials];
-        let mut met = Vec::new();
-        let mut ws = WaveScratch::new();
-        sample_pairs_meet_wavefront(&g, &table, &pairs, &mut met, &mut ws, &mut r);
-        assert_eq!(met.len(), trials);
-        let rate = met.iter().filter(|&&m| m).count() as f64 / trials as f64;
-        assert!((rate - 0.2).abs() < 0.01, "wavefront meet rate {rate:.4}");
-        // Distinct sources: s(1,2) on star_out is c.
-        let g = prsim_gen::toys::star_out(6);
-        let pairs = vec![(1u32, 2u32); trials];
-        sample_pairs_meet_wavefront(&g, &table, &pairs, &mut met, &mut ws, &mut r);
-        let rate = met.iter().filter(|&&m| m).count() as f64 / trials as f64;
-        assert!((rate - 0.6).abs() < 0.01, "two-source meet rate {rate:.4}");
-        // Empty batch.
-        sample_pairs_meet_wavefront(&g, &table, &[], &mut met, &mut ws, &mut r);
-        assert!(met.is_empty());
     }
 
     #[test]

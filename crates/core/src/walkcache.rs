@@ -259,12 +259,12 @@ impl ReachMasks {
 }
 
 /// The terminal-sample cache: pre-drawn √c-walk terminals and η-pair
-/// verdicts for the top-π nodes, consumed by the wavefront walk kernel
+/// verdicts for the top-π nodes, consumed by the engine's walk kernel
 /// through per-query [`CacheCursors`]. See the module docs for layout,
 /// honesty, and invalidation.
 #[derive(Clone, Debug)]
 pub struct WalkCache {
-    /// Membership bitset over the node universe: the wavefront kernel
+    /// Membership bitset over the node universe: the walk kernel
     /// probes this on **every** walk arrival, and at one bit per node it
     /// stays L1/L2-resident where the `pos` table would miss — the probe
     /// must be nearly free because the overwhelming majority of arrivals
@@ -468,7 +468,7 @@ impl WalkCache {
     }
 
     /// Binds the cache to a query's cursor state as a
-    /// [`TerminalDraws`] supplier for the wavefront kernel.
+    /// [`TerminalDraws`] supplier for the walk kernel.
     pub fn session<'a>(&'a self, cursors: &'a mut CacheCursors) -> CacheSession<'a> {
         CacheSession {
             cache: self,
@@ -532,7 +532,7 @@ impl WalkCache {
 }
 
 /// A [`WalkCache`] bound to one query's cursors — the
-/// [`TerminalDraws`] supplier handed to the wavefront kernel.
+/// [`TerminalDraws`] supplier handed to the walk kernel.
 pub struct CacheSession<'a> {
     cache: &'a WalkCache,
     cursors: &'a mut CacheCursors,
@@ -630,7 +630,7 @@ impl CacheCursors {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::walk::{sample_terminals_wavefront, WaveScratch};
+    use crate::walk::sample_walk_phase_interleaved;
 
     const SQRT_C: f64 = 0.774_596_669_241_483_4; // sqrt(0.6)
 
@@ -715,12 +715,13 @@ mod tests {
     }
 
     #[test]
-    fn cached_wavefront_matches_live_distribution() {
+    fn cached_walk_phase_matches_live_distribution() {
         // Terminals sampled *through* the cache must obey the same law as
-        // live sampling: cycle source 1, large pools, many walks.
+        // live sampling: cycle source 1, large pools, many walks. The
+        // kernel drops level-0 samples, so level 0 is read off its
+        // diagonal count.
         let (g, table, cache) = cycle_cache(8192);
         let trials = 60_000usize;
-        let mut ws = WaveScratch::new();
         let mut cursors = CacheCursors::new();
         let mut out = Vec::new();
         let mut level_counts = [0usize; 6];
@@ -729,21 +730,21 @@ mod tests {
         // Many small queries so the without-replacement windows rotate.
         for _ in 0..trials / 500 {
             cursors.begin(cache.pool_count());
-            let mut session = cache.session(&mut cursors);
             out.clear();
-            let stats = sample_terminals_wavefront(
+            let stats = sample_walk_phase_interleaved(
                 &g,
                 &table,
                 1,
                 500,
-                &mut session,
+                &mut cache.session(&mut cursors),
                 &mut out,
-                &mut ws,
                 &mut rng,
             );
-            assert_eq!(stats.died + out.len(), 500);
+            assert_eq!(stats.died + stats.diagonal + out.len(), 500);
             hits += stats.cache_hits;
-            for &(node, level) in &out {
+            level_counts[0] += stats.diagonal;
+            for &(node, level, _) in &out {
+                assert!(level >= 1, "level-0 samples must be dropped");
                 assert_eq!(node, ((6i64 - level as i64 % 5) % 5) as u32 % 5);
                 if (level as usize) < level_counts.len() {
                     level_counts[level as usize] += 1;

@@ -27,8 +27,8 @@
 //! [`QueryWorkspace`] bundles all scratch the single-source query needs:
 //! the backward-walk frontiers, the per-round `ŝ_B` accumulator, the
 //! final score accumulator, a stamped memo of `index.contains(w)`
-//! verdicts, and reusable vectors for terminal observations, the
-//! streamed index postings, and the median trick.
+//! verdicts, and reusable vectors for terminal observations, walk
+//! samples and the median trick.
 
 use prsim_graph::NodeId;
 
@@ -90,27 +90,15 @@ impl DenseScratch {
         }
     }
 
-    /// Folds one postings slice into the accumulator: `self[v] += scale·x`
-    /// for parallel `nodes`/`values` arrays (the index gather loop, kept
-    /// here so the scan stays monomorphic over the value width).
-    #[inline]
-    pub fn add_scaled(&mut self, nodes: &[NodeId], values: &[f64], scale: f64) {
-        for (&v, &x) in nodes.iter().zip(values) {
-            self.add(v, scale * x);
+    /// Multiplies every live entry by `factor`.
+    pub(crate) fn scale(&mut self, factor: f64) {
+        for &v in &self.touched {
+            self.slots[v as usize].value *= factor;
         }
     }
 
-    /// [`DenseScratch::add_scaled`] over f32 values (quantized reserve
-    /// arenas), widening each value before the multiply.
-    #[inline]
-    pub fn add_scaled_f32(&mut self, nodes: &[NodeId], values: &[f32], scale: f64) {
-        for (&v, &x) in nodes.iter().zip(values) {
-            self.add(v, scale * f64::from(x));
-        }
-    }
-
-    /// Branchless sibling of [`Self::add_scaled`]: the fused query
-    /// plan's postings fold. Instead of the stamp *branch* per entry,
+    /// `self[v] += scale·x` for parallel `nodes`/`values` arrays: the
+    /// query's postings fold. Instead of the stamp *branch* per entry,
     /// each lane runs straight-line code — an arithmetic select over the
     /// stamp comparison (`base = stale ? 0.0 : value`, a cmov/blend),
     /// unconditional value+stamp stores, and a branch-free conditional
@@ -383,42 +371,6 @@ fn radix_sort_ids(data: &mut Vec<NodeId>, tmp: &mut Vec<NodeId>) {
     }
 }
 
-/// LSD radix sort of `(node, value)` pairs by node id in 11-bit digits,
-/// using `tmp` as the ping-pong buffer — the pair-payload sibling of
-/// [`radix_sort_ids`]. **Stable**: pairs with equal node ids keep their
-/// input (append) order, which is what makes downstream coalescing sum
-/// duplicates chronologically and hence deterministically.
-pub(crate) fn radix_sort_pairs(data: &mut Vec<(NodeId, f64)>, tmp: &mut Vec<(NodeId, f64)>) {
-    const CUTOFF: usize = 96;
-    const BITS: u32 = 11;
-    const BUCKETS: usize = 1 << BITS;
-    if data.len() <= CUTOFF {
-        // Insertion-style stability at small sizes: sort_by_key is stable.
-        data.sort_by_key(|&(v, _)| v);
-        return;
-    }
-    let max = data.iter().map(|&(v, _)| v).max().expect("len > cutoff");
-    tmp.clear();
-    tmp.resize(data.len(), (0, 0.0));
-    let mut shift = 0u32;
-    while shift < 32 && (max >> shift) > 0 {
-        let mut counts = [0usize; BUCKETS + 1];
-        for &(v, _) in data.iter() {
-            counts[((v >> shift) as usize & (BUCKETS - 1)) + 1] += 1;
-        }
-        for i in 1..=BUCKETS {
-            counts[i] += counts[i - 1];
-        }
-        for &pair in data.iter() {
-            let d = (pair.0 >> shift) as usize & (BUCKETS - 1);
-            tmp[counts[d]] = pair;
-            counts[d] += 1;
-        }
-        std::mem::swap(data, tmp);
-        shift += BITS;
-    }
-}
-
 /// A dense epoch-stamped memo of per-node boolean verdicts (used to cache
 /// `index.contains(w)` across the samples of one query). Stamp and flag
 /// share one word per node — `slot >> 1` is the stamp, `slot & 1` the
@@ -539,36 +491,14 @@ pub struct QueryWorkspace {
     /// Raw `(w, ℓ)` terminal observations; sorted + run-length counted
     /// into `η̂π` at the end of the sampling phase.
     pub(crate) terminals: Vec<(NodeId, u32)>,
-    /// One round's terminal draws (interleaved sampling output).
-    pub(crate) term_buf: Vec<(NodeId, u32)>,
-    /// Pair-walk start nodes for the η rejection test.
-    pub(crate) pair_buf: Vec<(NodeId, NodeId)>,
-    /// Pair-meeting verdicts aligned with `pair_buf`.
-    pub(crate) met_buf: Vec<bool>,
     /// Flattened `(v, ŝ_B^i(v))` entries across rounds (median trick).
     pub(crate) round_entries: Vec<(NodeId, f64)>,
     /// Per-node value buffer for the median computation.
     pub(crate) median_buf: Vec<f64>,
-    /// Scaled index postings of the accepted hub terminals, gathered
-    /// sequentially and then radix-sorted + coalesced by node — the
-    /// scatter-free `ŝ_I` path.
-    pub(crate) ix_buf: Vec<(NodeId, f64)>,
-    /// Ping-pong buffer for the radix sort of `ix_buf`.
-    pub(crate) ix_tmp: Vec<(NodeId, f64)>,
-    /// Scaled backward-walk estimates, streamed flat and radix-coalesced
-    /// by node — the scatter-free `ŝ_B` path on large graphs (the `ŝ_I`
-    /// strategy applied to the backward fold).
-    pub(crate) bw_buf: Vec<(NodeId, f64)>,
-    /// Frontier + radix scratch of the sorted-wavefront walk kernels.
-    pub(crate) wave: crate::walk::WaveScratch,
     /// Per-query consumption cursors over the terminal-sample cache.
     pub(crate) cache_cursors: crate::walkcache::CacheCursors,
-    /// Positions (into `term_buf`) of terminals whose η test runs live.
-    pub(crate) pair_idx: Vec<u32>,
-    /// Verdicts of the live pair batch, aligned with `pair_buf`.
-    pub(crate) pair_met: Vec<bool>,
-    /// One round's resolved `(w, ℓ, met)` samples — the walk phase's
-    /// unified output across the interleaved and wavefront kernels.
+    /// One chunk's resolved `(w, ℓ, met)` samples (the walk kernel's
+    /// output).
     pub(crate) sample_buf: Vec<(NodeId, u32, bool)>,
     /// Decode buffers for postings served out of a paged arena's buffer
     /// pool ([`crate::PrsimIndex::postings_in`]); unused (and unsized)
@@ -608,30 +538,6 @@ mod tests {
         assert!(s.is_empty());
         s.add(2, 7.0);
         assert_eq!(s.get(2), 7.0, "stale value must not leak into a new add");
-    }
-
-    #[test]
-    fn add_scaled_matches_scalar_adds() {
-        let nodes = [4u32, 1, 4, 0];
-        let wide = [0.5f64, 2.0, 1.5, 3.0];
-        let narrow: Vec<f32> = wide.iter().map(|&x| x as f32).collect();
-        let mut a = DenseScratch::new();
-        a.begin(8);
-        a.add_scaled(&nodes, &wide, 2.0);
-        let mut b = DenseScratch::new();
-        b.begin(8);
-        for (&v, &x) in nodes.iter().zip(&wide) {
-            b.add(v, 2.0 * x);
-        }
-        for v in 0..8 {
-            assert_eq!(a.get(v), b.get(v));
-        }
-        let mut c = DenseScratch::new();
-        c.begin(8);
-        c.add_scaled_f32(&nodes, &narrow, 2.0);
-        for v in 0..8 {
-            assert_eq!(c.get(v), b.get(v), "f32 values widen exactly here");
-        }
     }
 
     #[test]

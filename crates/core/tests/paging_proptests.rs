@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use prsim_core::pagerank::{rank_by_pagerank, reverse_pagerank};
 use prsim_core::{
     HubCount, PagedOptions, Postings, PostingsScratch, Prsim, PrsimConfig, PrsimIndex, QueryParams,
-    QueryPlan, ReservePrecision,
+    ReservePrecision,
 };
 use prsim_graph::ordering::sort_out_by_in_degree;
 use prsim_graph::{DiGraph, GraphBuilder, NodeId};
@@ -263,7 +263,7 @@ fn pressure_graph() -> DiGraph {
 }
 
 /// Builds the resident truth engine plus a paged twin served from
-/// `storage`, both pinned to the Reference plan so the comparison is
+/// `storage`. Both run the same query body, so fault-free answers are
 /// bit-exact by construction.
 fn paged_twin(
     g: &DiGraph,
@@ -272,8 +272,7 @@ fn paged_twin(
     paged_opts: &PagedOptions,
 ) -> (Prsim, Prsim) {
     let config = engine_config();
-    let mut resident = Prsim::build(g.clone(), config.clone()).unwrap();
-    resident.set_query_plan(QueryPlan::Reference);
+    let resident = Prsim::build(g.clone(), config.clone()).unwrap();
     resident
         .index()
         .write_paged(&FsStorage, path, paged_opts.page_bytes)
@@ -282,8 +281,7 @@ fn paged_twin(
     // from_parts re-derives π over the engine's (already sorted) graph.
     let sorted = resident.graph().clone();
     let pi = reverse_pagerank(&sorted, config.sqrt_c(), 1e-12, config.max_level);
-    let mut paged = Prsim::from_parts(sorted, pi, index, config).unwrap();
-    paged.set_query_plan(QueryPlan::Reference);
+    let paged = Prsim::from_parts(sorted, pi, index, config).unwrap();
     (resident, paged)
 }
 

@@ -9,7 +9,7 @@
 use prsim_graph::{DiGraph, GraphBuilder, NodeId};
 use rand::Rng;
 
-use crate::rng_from_seed;
+use crate::{invalid, rng_from_seed, GenError};
 
 /// Generates an undirected Barabási–Albert graph (stored symmetrically).
 ///
@@ -20,15 +20,34 @@ use crate::rng_from_seed;
 ///
 /// # Panics
 ///
-/// Panics if `m_attach == 0` or `n <= m_attach`.
+/// Panics on the parameters [`try_barabasi_albert`] rejects.
 pub fn barabasi_albert(n: usize, m_attach: usize, seed: u64) -> DiGraph {
-    assert!(m_attach > 0, "m_attach must be positive");
-    assert!(n > m_attach, "need n > m_attach");
+    try_barabasi_albert(n, m_attach, seed).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Fallible [`barabasi_albert`]: rejects `m_attach == 0`,
+/// `n <= m_attach` and sizes beyond the node-id range with a
+/// [`GenError`] instead of panicking.
+pub fn try_barabasi_albert(n: usize, m_attach: usize, seed: u64) -> Result<DiGraph, GenError> {
+    const GENERATOR: &str = "barabasi-albert";
+    let endpoint_slots = (n < u32::MAX as usize)
+        .then(|| m_attach.checked_mul(n)?.checked_mul(2))
+        .flatten()
+        .ok_or(GenError::SizeOverflow {
+            generator: GENERATOR,
+            n,
+        })?;
+    if m_attach == 0 {
+        return invalid(GENERATOR, "m_attach", m_attach, "positive");
+    }
+    if n <= m_attach {
+        return invalid(GENERATOR, "n", n, "greater than m_attach");
+    }
     let mut rng = rng_from_seed(seed);
 
     // endpoints[k] appears once per incident edge: sampling a uniform
     // element of `endpoints` is degree-proportional sampling.
-    let mut endpoints: Vec<NodeId> = Vec::with_capacity(2 * m_attach * n);
+    let mut endpoints: Vec<NodeId> = Vec::with_capacity(endpoint_slots);
     let mut builder = GraphBuilder::new();
     builder.ensure_nodes(n);
 
@@ -58,7 +77,7 @@ pub fn barabasi_albert(n: usize, m_attach: usize, seed: u64) -> DiGraph {
             endpoints.push(t);
         }
     }
-    builder.build()
+    Ok(builder.build())
 }
 
 #[cfg(test)]
@@ -103,6 +122,24 @@ mod tests {
         let degs = degree_sequence(&g, DegreeKind::Out);
         let est = powerlaw_exponent_hill(&degs, 20).unwrap();
         assert!((est - 2.0).abs() < 0.6, "hill exponent {est}, wanted ~2");
+    }
+
+    #[test]
+    fn try_rejects_out_of_domain_parameters() {
+        for (n, m_attach, name) in [(10, 0, "m_attach"), (4, 4, "n"), (0, 4, "n")] {
+            match try_barabasi_albert(n, m_attach, 1) {
+                Err(GenError::InvalidParameter { name: got, .. }) => assert_eq!(got, name),
+                other => panic!("n {n}, m_attach {m_attach}: got {other:?}"),
+            }
+        }
+        assert!(matches!(
+            try_barabasi_albert(usize::MAX, 2, 1),
+            Err(GenError::SizeOverflow { .. })
+        ));
+        assert_eq!(
+            try_barabasi_albert(50, 2, 3).unwrap(),
+            barabasi_albert(50, 2, 3)
+        );
     }
 
     #[test]

@@ -18,7 +18,9 @@
 use prsim_graph::{DiGraph, GraphBuilder, NodeId};
 use rand::Rng;
 
-use crate::{rng_from_seed, GenError};
+use crate::{invalid, rng_from_seed, GenError};
+
+const GENERATOR: &str = "chung-lu";
 
 /// Parameters of the Chung–Lu generators.
 #[derive(Clone, Copy, Debug)]
@@ -49,30 +51,23 @@ impl ChungLuConfig {
     pub fn validate(&self) -> Result<(), GenError> {
         if self.n >= u32::MAX as usize {
             return Err(GenError::SizeOverflow {
-                generator: "chung-lu",
+                generator: GENERATOR,
                 n: self.n,
             });
         }
-        let invalid = |name, value: String, expected| {
-            Err(GenError::InvalidParameter {
-                generator: "chung-lu",
-                name,
-                value,
-                expected,
-            })
-        };
         if self.n == 0 {
-            return invalid("n", self.n.to_string(), "positive");
+            return invalid(GENERATOR, "n", self.n, "positive");
         }
         if !self.avg_degree.is_finite() || self.avg_degree <= 0.0 {
             return invalid(
+                GENERATOR,
                 "avg_degree",
-                self.avg_degree.to_string(),
+                self.avg_degree,
                 "finite and positive",
             );
         }
         if self.gamma.is_nan() || self.gamma <= 0.0 {
-            return invalid("gamma", self.gamma.to_string(), "positive");
+            return invalid(GENERATOR, "gamma", self.gamma, "positive");
         }
         Ok(())
     }
@@ -194,12 +189,7 @@ pub fn try_chung_lu_directed(
 ) -> Result<DiGraph, GenError> {
     cfg.validate()?;
     if gamma_in.is_nan() || gamma_in <= 0.0 {
-        return Err(GenError::InvalidParameter {
-            generator: "chung-lu",
-            name: "gamma_in",
-            value: gamma_in.to_string(),
-            expected: "positive",
-        });
+        return invalid(GENERATOR, "gamma_in", gamma_in, "positive");
     }
     let mut rng = rng_from_seed(cfg.seed);
 

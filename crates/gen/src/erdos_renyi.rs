@@ -7,18 +7,44 @@
 use prsim_graph::{DiGraph, GraphBuilder, NodeId};
 use rand::Rng;
 
-use crate::rng_from_seed;
+use crate::{invalid, is_probability, rng_from_seed, GenError};
+
+const GENERATOR: &str = "erdos-renyi";
+
+/// Checks `G(n, p)`'s domain: `n` within the node-id range, `p ∈ [0, 1]`.
+fn validate(n: usize, p: f64) -> Result<(), GenError> {
+    if n >= u32::MAX as usize {
+        return Err(GenError::SizeOverflow {
+            generator: GENERATOR,
+            n,
+        });
+    }
+    if !is_probability(p) {
+        return invalid(GENERATOR, "p", p, "in [0, 1]");
+    }
+    Ok(())
+}
 
 /// Generates a directed `G(n, p)` graph without self loops.
 ///
 /// Every ordered pair `(u, v)`, `u ≠ v`, is an edge independently with
 /// probability `p`. Pass `p = d̄ / (n − 1)` to target average out-degree d̄.
+///
+/// # Panics
+///
+/// Panics on the parameters [`try_erdos_renyi_directed`] rejects.
 pub fn erdos_renyi_directed(n: usize, p: f64, seed: u64) -> DiGraph {
-    assert!((0.0..=1.0).contains(&p), "p must be in [0, 1]");
+    try_erdos_renyi_directed(n, p, seed).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Fallible [`erdos_renyi_directed`]: rejects `p ∉ [0, 1]` and sizes
+/// beyond the node-id range with a [`GenError`] instead of panicking.
+pub fn try_erdos_renyi_directed(n: usize, p: f64, seed: u64) -> Result<DiGraph, GenError> {
+    validate(n, p)?;
     let mut b = GraphBuilder::new();
     b.ensure_nodes(n);
     if n == 0 || p == 0.0 {
-        return b.build();
+        return Ok(b.build());
     }
     let mut rng = rng_from_seed(seed);
     // Walk the flattened pair space of size n*(n-1) with geometric skips.
@@ -41,16 +67,26 @@ pub fn erdos_renyi_directed(n: usize, p: f64, seed: u64) -> DiGraph {
         b.add_edge(u as NodeId, v as NodeId);
         idx += 1;
     }
-    b.build()
+    Ok(b.build())
 }
 
 /// Generates an undirected `G(n, p)` graph, stored symmetrically.
+///
+/// # Panics
+///
+/// Panics on the parameters [`try_erdos_renyi_undirected`] rejects.
 pub fn erdos_renyi_undirected(n: usize, p: f64, seed: u64) -> DiGraph {
-    assert!((0.0..=1.0).contains(&p), "p must be in [0, 1]");
+    try_erdos_renyi_undirected(n, p, seed).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Fallible [`erdos_renyi_undirected`]: rejects `p ∉ [0, 1]` and sizes
+/// beyond the node-id range with a [`GenError`] instead of panicking.
+pub fn try_erdos_renyi_undirected(n: usize, p: f64, seed: u64) -> Result<DiGraph, GenError> {
+    validate(n, p)?;
     let mut b = GraphBuilder::new();
     b.ensure_nodes(n);
     if n < 2 || p == 0.0 {
-        return b.build();
+        return Ok(b.build());
     }
     let mut rng = rng_from_seed(seed);
     let total: u64 = (n as u64) * (n as u64 - 1) / 2;
@@ -68,7 +104,7 @@ pub fn erdos_renyi_undirected(n: usize, p: f64, seed: u64) -> DiGraph {
         b.add_undirected_edge(u as NodeId, v as NodeId);
         idx += 1;
     }
-    b.build()
+    Ok(b.build())
 }
 
 /// Maps a linear index in `0..n(n-1)/2` to the `idx`-th pair `(u, v)` with
@@ -112,6 +148,26 @@ mod tests {
         seen.sort_unstable();
         seen.dedup();
         assert_eq!(seen.len() as u64, total);
+    }
+
+    #[test]
+    fn try_rejects_probabilities_outside_the_unit_interval() {
+        for p in [-0.1, 1.5, f64::NAN] {
+            for g in [
+                try_erdos_renyi_directed(10, p, 1),
+                try_erdos_renyi_undirected(10, p, 1),
+            ] {
+                match g {
+                    Err(GenError::InvalidParameter { name, .. }) => assert_eq!(name, "p"),
+                    other => panic!("p {p}: got {other:?}"),
+                }
+            }
+        }
+        assert!(matches!(
+            try_erdos_renyi_directed(usize::MAX, 0.5, 1),
+            Err(GenError::SizeOverflow { .. })
+        ));
+        assert_eq!(try_erdos_renyi_directed(0, 1.0, 1).unwrap().node_count(), 0);
     }
 
     #[test]

@@ -30,13 +30,16 @@ pub mod erdos_renyi;
 pub mod sbm;
 pub mod toys;
 
-pub use ba::barabasi_albert;
+pub use ba::{barabasi_albert, try_barabasi_albert};
 pub use chung_lu::{
     chung_lu_directed, chung_lu_undirected, try_chung_lu_directed, try_chung_lu_undirected,
     ChungLuConfig,
 };
-pub use erdos_renyi::{erdos_renyi_directed, erdos_renyi_undirected};
-pub use sbm::{community_of, planted_partition};
+pub use erdos_renyi::{
+    erdos_renyi_directed, erdos_renyi_undirected, try_erdos_renyi_directed,
+    try_erdos_renyi_undirected,
+};
+pub use sbm::{community_of, planted_partition, try_planted_partition};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -47,7 +50,7 @@ use rand::SeedableRng;
 /// exists for the places where a size request can overflow host
 /// arithmetic before any allocation happens (e.g. the `n·(n−1)` edge
 /// count of a complete graph), and for parameters outside their domain
-/// (the Chung–Lu `try_*` constructors).
+/// (the `try_*` constructors).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GenError {
     /// A requested size overflows `usize` arithmetic or exceeds the
@@ -91,6 +94,26 @@ impl std::fmt::Display for GenError {
 }
 
 impl std::error::Error for GenError {}
+
+/// The [`GenError::InvalidParameter`] error for `generator`'s `name`.
+pub(crate) fn invalid<T>(
+    generator: &'static str,
+    name: &'static str,
+    value: impl ToString,
+    expected: &'static str,
+) -> Result<T, GenError> {
+    Err(GenError::InvalidParameter {
+        generator,
+        name,
+        value: value.to_string(),
+        expected,
+    })
+}
+
+/// Whether `p` is a probability (`NaN` is not).
+pub(crate) fn is_probability(p: f64) -> bool {
+    (0.0..=1.0).contains(&p)
+}
 
 /// Creates the deterministic RNG used by every generator in this crate.
 pub(crate) fn rng_from_seed(seed: u64) -> StdRng {

@@ -10,14 +10,14 @@
 use prsim_graph::{DiGraph, GraphBuilder, NodeId};
 use rand::Rng;
 
-use crate::rng_from_seed;
+use crate::{invalid, is_probability, rng_from_seed, GenError};
 
 /// Generates an undirected planted-partition graph with `communities`
 /// equal blocks of `size` nodes. Node `v` belongs to block `v / size`.
 ///
 /// # Panics
 ///
-/// Panics unless `0 ≤ p_out ≤ p_in ≤ 1` and both dimensions are positive.
+/// Panics on the parameters [`try_planted_partition`] rejects.
 pub fn planted_partition(
     communities: usize,
     size: usize,
@@ -25,10 +25,39 @@ pub fn planted_partition(
     p_out: f64,
     seed: u64,
 ) -> DiGraph {
-    assert!(communities > 0 && size > 0);
-    assert!((0.0..=1.0).contains(&p_in) && (0.0..=1.0).contains(&p_out));
-    assert!(p_out <= p_in, "planted structure requires p_out <= p_in");
-    let n = communities * size;
+    try_planted_partition(communities, size, p_in, p_out, seed).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Fallible [`planted_partition`]: requires both dimensions positive,
+/// `0 ≤ p_out ≤ p_in ≤ 1` (the planted structure) and a node count
+/// within the node-id range, and reports a [`GenError`] otherwise.
+pub fn try_planted_partition(
+    communities: usize,
+    size: usize,
+    p_in: f64,
+    p_out: f64,
+    seed: u64,
+) -> Result<DiGraph, GenError> {
+    const GENERATOR: &str = "planted-partition";
+    let n = communities
+        .checked_mul(size)
+        .filter(|&n| n < u32::MAX as usize)
+        .ok_or(GenError::SizeOverflow {
+            generator: GENERATOR,
+            n: communities.saturating_mul(size),
+        })?;
+    if communities == 0 {
+        return invalid(GENERATOR, "communities", communities, "positive");
+    }
+    if size == 0 {
+        return invalid(GENERATOR, "size", size, "positive");
+    }
+    if !is_probability(p_in) {
+        return invalid(GENERATOR, "p_in", p_in, "in [0, 1]");
+    }
+    if !is_probability(p_out) || p_out > p_in {
+        return invalid(GENERATOR, "p_out", p_out, "in [0, p_in]");
+    }
     let mut rng = rng_from_seed(seed);
     let mut b = GraphBuilder::new();
     b.ensure_nodes(n);
@@ -67,7 +96,7 @@ pub fn planted_partition(
             idx += 1;
         }
     }
-    b.build()
+    Ok(b.build())
 }
 
 /// Community label of node `v` for a graph from [`planted_partition`].
@@ -152,8 +181,29 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "p_out <= p_in")]
+    #[should_panic(expected = "p_out must be in [0, p_in]")]
     fn rejects_inverted_probabilities() {
         let _ = planted_partition(2, 5, 0.1, 0.5, 1);
+    }
+
+    #[test]
+    fn try_rejects_out_of_domain_parameters() {
+        for (communities, size, p_in, p_out, name) in [
+            (0, 5, 0.5, 0.1, "communities"),
+            (2, 0, 0.5, 0.1, "size"),
+            (2, 5, 1.5, 0.1, "p_in"),
+            (2, 5, f64::NAN, 0.1, "p_in"),
+            (2, 5, 0.5, -0.1, "p_out"),
+            (2, 5, 0.1, 0.5, "p_out"),
+        ] {
+            match try_planted_partition(communities, size, p_in, p_out, 1) {
+                Err(GenError::InvalidParameter { name: got, .. }) => assert_eq!(got, name),
+                other => panic!("{name}: got {other:?}"),
+            }
+        }
+        assert!(matches!(
+            try_planted_partition(usize::MAX, 2, 0.5, 0.1, 1),
+            Err(GenError::SizeOverflow { .. })
+        ));
     }
 }

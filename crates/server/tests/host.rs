@@ -388,13 +388,11 @@ fn broken_wal_heals_with_backoff() {
     fs::remove_dir_all(&dir).ok();
 }
 
-/// Host options for out-of-core serving. The plan is pinned to
-/// Reference on both sides of every comparison below: `Auto` resolves
-/// differently for resident (fused) and paged (reference) arenas, and
-/// the two plans agree only to ~1e-12, not bit-for-bit.
+/// Host options for out-of-core serving. Paged and resident arenas run
+/// the same query body, so every comparison below is bit-for-bit under
+/// the default config.
 fn paged_options(budget: u64) -> HostOptions {
     let mut opts = options();
-    opts.config.plan = prsim_core::QueryPlan::Reference;
     opts.memory_budget = Some(budget);
     opts.page_bytes = 64;
     opts.page_hot_ranks = 2;
@@ -409,9 +407,7 @@ fn paged_host_serves_bit_identical_to_resident() {
     let stream = batches(&g, 8);
 
     let dir_resident = tmpdir("paged_ref_resident");
-    let mut resident_opts = options();
-    resident_opts.config.plan = prsim_core::QueryPlan::Reference;
-    let resident = EngineHost::open(&g, &dir_resident, resident_opts).unwrap();
+    let resident = EngineHost::open(&g, &dir_resident, options()).unwrap();
 
     let dir_paged = tmpdir("paged_ref_paged");
     let paged = EngineHost::open(&g, &dir_paged, paged_options(PAGED_BUDGET)).unwrap();
@@ -496,9 +492,7 @@ fn paged_host_checkpoints_and_recovers_bit_identically() {
         f
     };
     let resident_fp = {
-        let mut opts = options();
-        opts.config.plan = prsim_core::QueryPlan::Reference;
-        let host = EngineHost::open(&g, &dir, opts).unwrap();
+        let host = EngineHost::open(&g, &dir, options()).unwrap();
         assert!(host.stats().paging.is_none());
         let f = fingerprint(&host);
         host.shutdown().unwrap();

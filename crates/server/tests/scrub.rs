@@ -283,7 +283,6 @@ fn rotten_cold_arena_page_degrades_and_recovers() {
     let dir = tmpdir("arena");
     let g = test_graph();
     let mut opts = options();
-    opts.config.plan = prsim_core::QueryPlan::Reference;
     opts.memory_budget = Some(1 << 20);
     opts.page_bytes = 64;
     opts.page_hot_ranks = 0; // nothing pinned: every page is cold

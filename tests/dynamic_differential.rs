@@ -16,7 +16,9 @@
 //! as generated.)
 
 use proptest::prelude::*;
-use prsim::core::{DynamicParams, DynamicPrsim, Prsim, PrsimConfig, QueryParams, UpdateMode};
+use prsim::core::{
+    DynamicParams, DynamicPrsim, Prsim, PrsimConfig, QueryParams, QueryWorkspace, UpdateMode,
+};
 use prsim::graph::{DiGraph, EdgeUpdate, GraphBuilder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -272,57 +274,62 @@ fn stream_that_empties_the_graph_entirely() {
     check_stream_with(config(), &base, &stream, params, 1, 3).unwrap();
 }
 
-/// Max |ŝ_fused − ŝ_reference| on the *same* engine and RNG stream. The
-/// two plans consume identical samples; the only permitted difference is
-/// the fused plan's final-level fold reassociation, which is ~1 ulp per
-/// entry — 1e-9 leaves seven orders of magnitude of headroom while still
-/// catching any real divergence (a skipped terminal, a double-counted
-/// posting, a stale accumulator slot).
-const PLAN_TOL: f64 = 1e-9;
-
 /// Replays `stream` on one incremental engine and, at every probe,
-/// answers each source under both query plans from identically seeded
-/// RNGs. Unlike the incremental-vs-fresh regimes above, this bound is
-/// numerical, not statistical.
-fn check_plan_differential(cfg: PrsimConfig, stream: &[EdgeUpdate], seed: u64) {
+/// answers each source twice from identically seeded RNGs: through one
+/// long-lived workspace that has served every earlier probe (across
+/// graph, index and cache repairs), and through a fresh one. The two
+/// must agree bit for bit, stats included — a stale accumulator slot, a
+/// memo that outlived its graph or a cursor that leaked across queries
+/// would show up here as a numerical, not a statistical, difference.
+fn check_workspace_reuse(cfg: PrsimConfig, stream: &[EdgeUpdate], seed: u64) {
     let base = prsim::gen::chung_lu_undirected(prsim::gen::ChungLuConfig::new(36, 4.0, 2.0, 13));
     let params = DynamicParams {
         drift_budget: 1e9,
         ..Default::default()
     };
     let mut engine = DynamicPrsim::new(&base, cfg, UpdateMode::Incremental(params)).unwrap();
-    let probe = |engine: &mut DynamicPrsim, at: usize| {
-        let n = engine.node_count() as u32;
+    let mut long_lived = QueryWorkspace::new();
+    let mut probe = |engine: &DynamicPrsim, at: usize| {
+        let engine = engine
+            .engine()
+            .expect("incremental engines are always built");
+        let n = engine.graph().node_count() as u32;
         for &u in &[0u32, n / 2, n - 1] {
-            engine.set_query_plan(prsim::core::QueryPlan::Fused);
-            let (fused, fstats) = engine
-                .single_source(u, &mut StdRng::seed_from_u64(seed ^ u as u64))
+            let (reused, rstats) = engine
+                .try_single_source_with_workspace(
+                    u,
+                    &mut long_lived,
+                    &mut StdRng::seed_from_u64(seed ^ u as u64),
+                )
                 .unwrap();
-            engine.set_query_plan(prsim::core::QueryPlan::Reference);
-            let (reference, rstats) = engine
-                .single_source(u, &mut StdRng::seed_from_u64(seed ^ u as u64))
+            let (fresh, fstats) = engine
+                .try_single_source_with_workspace(
+                    u,
+                    &mut QueryWorkspace::new(),
+                    &mut StdRng::seed_from_u64(seed ^ u as u64),
+                )
                 .unwrap();
-            let diff = fused.max_abs_diff(&reference);
+            let diff = reused.max_abs_diff(&fresh);
             assert!(
-                diff <= PLAN_TOL,
-                "source {u} after update {at}: fused vs reference diff {diff} > {PLAN_TOL}\n\
+                diff == 0.0,
+                "source {u} after update {at}: reused vs fresh workspace diff {diff}\n\
                  stream:\n{}",
                 render_stream(stream)
             );
-            assert_eq!(fstats, rstats, "stats diverged at source {u}, update {at}");
+            assert_eq!(rstats, fstats, "stats diverged at source {u}, update {at}");
         }
     };
     for (i, &up) in stream.iter().enumerate() {
         engine.apply(up).unwrap();
         if (i + 1) % 4 == 0 {
-            probe(&mut engine, i + 1);
+            probe(&engine, i + 1);
         }
     }
-    probe(&mut engine, stream.len());
+    probe(&engine, stream.len());
 }
 
-/// Deterministic mixed stream shared by the plan-differential regimes.
-fn plan_stream() -> Vec<EdgeUpdate> {
+/// Deterministic mixed stream shared by the workspace-reuse regimes.
+fn reuse_stream() -> Vec<EdgeUpdate> {
     (0..12u32)
         .map(|i| {
             if i % 3 == 2 {
@@ -334,28 +341,27 @@ fn plan_stream() -> Vec<EdgeUpdate> {
         .collect()
 }
 
-/// Fused vs reference across an update stream, f64 reserves, walk cache
-/// enabled (both plans consume cached draws identically).
+/// Long-lived vs fresh workspace across an update stream, f64 reserves,
+/// walk cache enabled (the cache cursors live in the workspace too).
 #[test]
-fn fused_matches_reference_across_updates_f64() {
+fn reused_workspace_matches_fresh_across_updates_f64() {
     let cfg = PrsimConfig {
         reserve_precision: prsim::core::ReservePrecision::F64,
         walk_cache_budget: 64,
         ..config()
     };
-    check_plan_differential(cfg, &plan_stream(), 0xF05ED);
+    check_workspace_reuse(cfg, &reuse_stream(), 0xF05ED);
 }
 
-/// Same regime over f32 reserves: quantization moves both plans by the
-/// same amount, so the plan-to-plan bound stays numerical.
+/// Same regime over f32 reserves, cache off.
 #[test]
-fn fused_matches_reference_across_updates_f32() {
+fn reused_workspace_matches_fresh_across_updates_f32() {
     let cfg = PrsimConfig {
         reserve_precision: prsim::core::ReservePrecision::F32,
         walk_cache_budget: 0,
         ..config()
     };
-    check_plan_differential(cfg, &plan_stream(), 0xF32);
+    check_workspace_reuse(cfg, &reuse_stream(), 0xF32);
 }
 
 #[test]

@@ -14,9 +14,7 @@
 //! of the time. No retries, no tolerance slop beyond ε itself.
 
 use prsim::baselines::power_method;
-use prsim::core::{
-    DynamicPrsim, HubCount, Prsim, PrsimConfig, QueryParams, QueryPlan, ReservePrecision,
-};
+use prsim::core::{DynamicPrsim, HubCount, Prsim, PrsimConfig, QueryParams, ReservePrecision};
 use prsim::graph::DiGraph;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -200,43 +198,26 @@ fn cached_walk_regime_beats_eps_with_f32_reserves() {
 
 #[test]
 fn fused_plan_beats_eps_under_the_same_hoeffding_bound() {
-    // The fused back-half (per-terminal VBBW folded straight into the
-    // accumulator, branchless ŝ_I scatter) is pinned to the *same*
-    // Hoeffding-derived d_r as the reference plan — it reorders float
-    // adds, it does not resample — so it must meet the same ε with no
-    // extra budget. Forced explicitly rather than relying on `Auto`
-    // resolving to Fused, so the bound keeps holding even if the Auto
-    // rule changes.
+    // The fused query body (per-terminal VBBW folded straight into the
+    // accumulator, branchless ŝ_I scatter) meets ε at the plain
+    // Hoeffding-derived d_r: folding reorders float adds, it does not
+    // resample, so it needs no extra budget.
     let g = prsim::gen::chung_lu_undirected(prsim::gen::ChungLuConfig::new(60, 5.0, 2.0, 101));
     let sources = [0u32, 17, 59];
     let dr = hoeffding_dr(sources.len() * g.node_count(), EPS, DELTA);
-    let fused = PrsimConfig {
-        plan: QueryPlan::Fused,
-        ..accuracy_config(dr, 1)
-    };
-    let engine = Prsim::build(g.clone(), fused).unwrap();
-    assert_within_eps(&engine, &g, &sources, 0xACC);
-
-    // And the reference plan, same seeds, same bound: both plans are
-    // full citizens of the accuracy contract.
-    let reference = PrsimConfig {
-        plan: QueryPlan::Reference,
-        ..accuracy_config(dr, 1)
-    };
-    let engine = Prsim::build(g.clone(), reference).unwrap();
+    let engine = Prsim::build(g.clone(), accuracy_config(dr, 1)).unwrap();
     assert_within_eps(&engine, &g, &sources, 0xACC);
 }
 
 #[test]
 fn fused_plan_beats_eps_with_cache_and_median_rounds() {
-    // Fused plan under the heaviest estimator configuration: median
+    // The query body under the heaviest estimator configuration: median
     // trick over f_r = 3 rounds with a fully cached walk phase. Same
     // Hoeffding d_r, same ε.
     let g = prsim::gen::chung_lu_undirected(prsim::gen::ChungLuConfig::new(40, 4.0, 2.2, 104));
     let sources = [0u32, 20, 39];
     let dr = hoeffding_dr(sources.len() * g.node_count(), EPS, DELTA);
     let config = PrsimConfig {
-        plan: QueryPlan::Fused,
         walk_cache_budget: g.node_count(),
         ..accuracy_config(dr, 3)
     };
