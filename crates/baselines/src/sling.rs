@@ -15,7 +15,7 @@
 //! reading `h_ℓ(u,·)` from per-source forward lists and `h_ℓ(·,w)` from
 //! per-target inverted lists.
 
-use prsim_core::backward::backward_search;
+use prsim_core::backward::{backward_search, BackwardWorkspace};
 use prsim_core::scores::SimRankScores;
 use prsim_core::walk::estimate_eta;
 use prsim_graph::{DiGraph, NodeId};
@@ -81,8 +81,9 @@ impl Sling {
 
         let mut forward: Vec<Vec<(u32, NodeId, f64)>> = vec![Vec::new(); n];
         let mut inverted: HashMap<(NodeId, u32), Vec<(NodeId, f64)>> = HashMap::new();
+        let mut ws = BackwardWorkspace::new();
         for w in 0..n as NodeId {
-            let res = backward_search(g, sqrt_c, w, r_max, config.max_level);
+            let res = backward_search(g, &mut ws, sqrt_c, w, r_max, config.max_level, false);
             for (l, level) in res.levels.iter().enumerate() {
                 for &(v, psi) in level {
                     let h = psi / alpha;

@@ -7,7 +7,7 @@
 //! rather than the out-degree volume a full-scan probe pays.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use prsim_core::backward::backward_search;
+use prsim_core::backward::{backward_search, BackwardWorkspace};
 use prsim_core::pagerank::{rank_by_pagerank, reverse_pagerank};
 use prsim_core::vbbw::{simple_backward_walk, variance_bounded_backward_walk};
 use prsim_gen::{chung_lu_undirected, ChungLuConfig};
@@ -84,11 +84,12 @@ fn bench_backward_search(c: &mut Criterion) {
     let mut group = c.benchmark_group("backward_search");
     for r_max in [1e-2f64, 1e-3, 1e-4] {
         group.bench_with_input(BenchmarkId::from_parameter(r_max), &r_max, |b, &r_max| {
+            let mut ws = BackwardWorkspace::new();
             let mut i = 0usize;
             b.iter(|| {
                 let w = targets[i % targets.len()];
                 i += 1;
-                backward_search(&g, SQRT_C, w, r_max, 64)
+                backward_search(&g, &mut ws, SQRT_C, w, r_max, 64, false)
             });
         });
     }

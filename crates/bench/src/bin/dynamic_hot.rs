@@ -8,6 +8,11 @@
 //!   plus repair statistics (`mean_repair_fraction` = dirty hubs / hub
 //!   count per single-edge update, PageRank refinement iterations,
 //!   rebuilds, compactions);
+//! * the exact **work** of the stream's first `WORK_UPDATES` updates:
+//!   the [`UpdateStats`] counters summed over them, the touch-set entry
+//!   count after them, and a fingerprint of the index they leave behind
+//!   (FNV-1a over [`PrsimIndex::to_bytes`]: hub order, level counts and
+//!   every (hub, level) posting's node ids and reserve bits);
 //! * **query freshness**: the latency from an update arriving to a fully
 //!   fresh single-source answer (apply + query, p50/p95);
 //! * **rebuild** baseline: the same engine in `RebuildOnBatch {{ batch: 1 }}`
@@ -39,14 +44,16 @@
 //! * default: run the full family (5k / 20k / 100k nodes) and write
 //!   `BENCH_dynamic.json` in the current directory;
 //! * `--smoke`: run only the 5k graph (seconds, for CI);
-//! * `--check PATH`: after running, compare measured incremental
-//!   updates/sec against the same-named dataset inside the committed JSON
-//!   at `PATH`; exit non-zero when either file is malformed or throughput
-//!   regresses by more than 3x.
+//! * `--check PATH`: after running, compare against the same-named
+//!   dataset inside the committed JSON at `PATH`; exit non-zero when
+//!   either file is malformed, the update work differs from the committed
+//!   work in any field (work is gated exactly, so `--updates` must be at
+//!   least `WORK_UPDATES`), or incremental updates/sec regresses by more
+//!   than 3x.
 
 use prsim_bench::hot::{hot_bench_config, percentile, HOT_C_MULT};
 use prsim_bench::json as mini_json;
-use prsim_core::{DynamicParams, DynamicPrsim, UpdateMode};
+use prsim_core::{DynamicParams, DynamicPrsim, PrsimIndex, UpdateMode, UpdateStats};
 use prsim_gen::{chung_lu_undirected, ChungLuConfig};
 use prsim_graph::{EdgeUpdate, NodeId};
 use rand::rngs::StdRng;
@@ -57,6 +64,10 @@ use std::time::Instant;
 /// Throughput tolerance of `--check`: fail when fresh incremental
 /// updates/sec drops below 1/3 of the committed value.
 const CHECK_TOLERANCE: f64 = 3.0;
+
+/// Length of the seeded update-stream prefix whose work is recorded and
+/// gated exactly (CI's smoke run applies this many).
+const WORK_UPDATES: usize = 30;
 
 struct DatasetSpec {
     name: &'static str,
@@ -95,11 +106,70 @@ const FAMILY: &[DatasetSpec] = &[
     },
 ];
 
+/// Exact work of the update stream's first [`WORK_UPDATES`] updates.
+/// Everything is seeded, so any difference from the committed values is
+/// a change in what the engine computes, not noise.
+#[derive(Debug, Default)]
+struct UpdateWork {
+    updates: usize,
+    applied: usize,
+    touched_hubs: usize,
+    pr_iterations: usize,
+    rebuilt: usize,
+    compacted: usize,
+    index_compacted: usize,
+    /// Touch-set entries after the last update of the window.
+    touch_entries: usize,
+    /// [`index_fingerprint`] after the last update of the window.
+    index_fingerprint: String,
+}
+
+impl UpdateWork {
+    /// `(JSON key, value)` for every counter, in render order.
+    fn counters(&self) -> [(&'static str, usize); 8] {
+        [
+            ("updates", self.updates),
+            ("applied", self.applied),
+            ("touched_hubs", self.touched_hubs),
+            ("pr_iterations", self.pr_iterations),
+            ("rebuilt", self.rebuilt),
+            ("compacted", self.compacted),
+            ("index_compacted", self.index_compacted),
+            ("touch_entries", self.touch_entries),
+        ]
+    }
+
+    fn add(&mut self, stats: &UpdateStats) {
+        self.updates += 1;
+        self.applied += usize::from(stats.applied);
+        self.touched_hubs += stats.touched_hubs;
+        self.pr_iterations += stats.pr_iterations;
+        self.rebuilt += usize::from(stats.rebuilt);
+        self.compacted += usize::from(stats.compacted);
+        self.index_compacted += usize::from(stats.index_compacted);
+    }
+}
+
+/// FNV-1a (64-bit) over the index's canonical serialization, as hex:
+/// equal exactly when the hub order and every (hub, level) posting list,
+/// reserve bits included, are equal.
+fn index_fingerprint(index: &PrsimIndex) -> String {
+    let hash = index
+        .to_bytes()
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+    format!("{hash:016x}")
+}
+
 struct BenchRow {
     name: String,
     n: usize,
     m: usize,
     build_ms: f64,
+    /// `None` when fewer than [`WORK_UPDATES`] updates ran.
+    work: Option<UpdateWork>,
     inc_updates_per_sec: f64,
     inc_applied: usize,
     mean_repair_fraction: f64,
@@ -423,11 +493,25 @@ fn run_dataset(spec: &DatasetSpec, updates: usize, clients: usize) -> BenchRow {
     let mut repair_fractions: Vec<f64> = Vec::with_capacity(updates);
     let mut pr_iters = 0usize;
     let mut rebuilds_during = 0usize;
+    let mut window = UpdateWork::default();
+    let mut work = None;
+    let mut untimed_secs = 0.0;
     let thru_start = Instant::now();
-    for _ in 0..updates {
+    for i in 0..updates {
         let up = gen.next();
         let stats = inc.apply(up).expect("stream updates are in range");
         assert!(stats.applied, "generated stream must always apply");
+        if i < WORK_UPDATES {
+            window.add(&stats);
+            if i + 1 == WORK_UPDATES {
+                let t = Instant::now();
+                window.touch_entries = inc.touch_sets().entry_count();
+                let engine = inc.engine().expect("incremental engine is built");
+                window.index_fingerprint = index_fingerprint(engine.index());
+                work = Some(std::mem::take(&mut window));
+                untimed_secs += t.elapsed().as_secs_f64();
+            }
+        }
         pr_iters += stats.pr_iterations;
         if stats.rebuilt {
             rebuilds_during += 1;
@@ -435,7 +519,7 @@ fn run_dataset(spec: &DatasetSpec, updates: usize, clients: usize) -> BenchRow {
             repair_fractions.push(stats.repair_fraction);
         }
     }
-    let thru_secs = thru_start.elapsed().as_secs_f64();
+    let thru_secs = thru_start.elapsed().as_secs_f64() - untimed_secs;
     let inc_updates_per_sec = updates as f64 / thru_secs;
     let mean_repair_fraction =
         repair_fractions.iter().sum::<f64>() / repair_fractions.len().max(1) as f64;
@@ -491,6 +575,7 @@ fn run_dataset(spec: &DatasetSpec, updates: usize, clients: usize) -> BenchRow {
         n,
         m,
         build_ms,
+        work,
         inc_updates_per_sec,
         inc_applied: updates,
         mean_repair_fraction,
@@ -546,8 +631,20 @@ fn render_json(rows: &[BenchRow], updates: usize, pre_pr: Option<&str>) -> Strin
             .map(|v| format!("{v:.3}"))
             .collect::<Vec<_>>()
             .join(", ");
+        let work = r.work.as_ref().map_or(String::new(), |w| {
+            let counters: Vec<String> = w
+                .counters()
+                .iter()
+                .map(|(k, v)| format!("\"{k}\": {v}"))
+                .collect();
+            format!(
+                " \"work\": {{{}, \"index_fingerprint\": \"{}\"}},",
+                counters.join(", "),
+                w.index_fingerprint
+            )
+        });
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"n\": {}, \"m\": {}, \"build_ms\": {:.2}, \"incremental\": {{\"updates_per_sec\": {:.2}, \"applied\": {}, \"mean_repair_fraction\": {:.4}, \"max_repair_fraction\": {:.4}, \"mean_pr_iterations\": {:.2}, \"rebuilds\": {}, \"compactions\": {}, \"freshness_p50_ms\": {:.2}, \"freshness_p95_ms\": {:.2}}}, \"rebuild\": {{\"updates_per_sec\": {:.3}, \"applied\": {}}}, \"speedup\": {:.1}, \"serve\": {{\"qps_idle\": {:.1}, \"qps_under_updates\": {:.1}, \"qps_retained\": {:.3}, \"epochs_published\": {}, \"updates_during\": {}, \"concurrent_updates_per_sec\": {:.1}, \"busy_rejects\": {}, \"max_queue_depth\": {}, \"p99_query_ms\": {:.2}}}, \"concurrent_clients\": {{\"clients\": {}, \"stalled_clients\": {}, \"per_client_p99_ms\": [{per_client}], \"qps_total\": {:.1}}}}}",
+            "    {{\"name\": \"{}\", \"n\": {}, \"m\": {}, \"build_ms\": {:.2},{work} \"incremental\": {{\"updates_per_sec\": {:.2}, \"applied\": {}, \"mean_repair_fraction\": {:.4}, \"max_repair_fraction\": {:.4}, \"mean_pr_iterations\": {:.2}, \"rebuilds\": {}, \"compactions\": {}, \"freshness_p50_ms\": {:.2}, \"freshness_p95_ms\": {:.2}}}, \"rebuild\": {{\"updates_per_sec\": {:.3}, \"applied\": {}}}, \"speedup\": {:.1}, \"serve\": {{\"qps_idle\": {:.1}, \"qps_under_updates\": {:.1}, \"qps_retained\": {:.3}, \"epochs_published\": {}, \"updates_during\": {}, \"concurrent_updates_per_sec\": {:.1}, \"busy_rejects\": {}, \"max_queue_depth\": {}, \"p99_query_ms\": {:.2}}}, \"concurrent_clients\": {{\"clients\": {}, \"stalled_clients\": {}, \"per_client_p99_ms\": [{per_client}], \"qps_total\": {:.1}}}}}",
             r.name,
             r.n,
             r.m,
@@ -640,8 +737,8 @@ fn main() {
     }
 }
 
-/// `--check`: compare measured incremental updates/sec against the
-/// committed baseline JSON.
+/// `--check`: compare the update work (exactly) and the measured
+/// incremental updates/sec against the committed baseline JSON.
 fn check_against_baseline(rows: &[BenchRow], path: &str) {
     let committed = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("cannot read committed baseline {path}: {e}"));
@@ -654,9 +751,13 @@ fn check_against_baseline(rows: &[BenchRow], path: &str) {
 
     let mut failures = 0usize;
     for row in rows {
-        let committed_ups = results
+        let committed_row = results
             .iter()
-            .find(|r| r.get("name").and_then(mini_json::Value::as_str) == Some(&row.name))
+            .find(|r| r.get("name").and_then(mini_json::Value::as_str) == Some(&row.name));
+        if !check_work(row, committed_row.and_then(|r| r.get("work"))) {
+            failures += 1;
+        }
+        let committed_ups = committed_row
             .and_then(|r| r.get("incremental"))
             .and_then(|s| s.get("updates_per_sec"))
             .and_then(mini_json::Value::as_f64);
@@ -686,4 +787,51 @@ fn check_against_baseline(rows: &[BenchRow], path: &str) {
     if failures > 0 {
         std::process::exit(1);
     }
+}
+
+/// The exact update-work gate of `--check`: every counter and the index
+/// fingerprint must equal the committed values. Returns whether it held.
+fn check_work(row: &BenchRow, committed: Option<&mini_json::Value>) -> bool {
+    let Some(work) = &row.work else {
+        eprintln!(
+            "FAIL: {} ran fewer than {WORK_UPDATES} updates, so its work is unmeasured (pass --updates {WORK_UPDATES} or more)",
+            row.name
+        );
+        return false;
+    };
+    let Some(committed) = committed else {
+        eprintln!(
+            "FAIL: baseline has no work entry for {} (regenerate BENCH_dynamic.json)",
+            row.name
+        );
+        return false;
+    };
+    let mut holds = true;
+    for (key, fresh) in work.counters() {
+        let base = committed.get(key).and_then(mini_json::Value::as_f64);
+        if base != Some(fresh as f64) {
+            let base = base.map_or("nothing".to_string(), |b| b.to_string());
+            eprintln!("FAIL: {} work.{key} is {fresh}, committed {base}", row.name);
+            holds = false;
+        }
+    }
+    let base = committed
+        .get("index_fingerprint")
+        .and_then(mini_json::Value::as_str);
+    if base != Some(work.index_fingerprint.as_str()) {
+        eprintln!(
+            "FAIL: {} work.index_fingerprint is {}, committed {}",
+            row.name,
+            work.index_fingerprint,
+            base.unwrap_or("nothing")
+        );
+        holds = false;
+    }
+    if holds {
+        eprintln!(
+            "OK: {} work matches committed ({} updates, {} touched hubs, index {})",
+            row.name, work.updates, work.touched_hubs, work.index_fingerprint
+        );
+    }
+    holds
 }

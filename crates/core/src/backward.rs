@@ -22,7 +22,8 @@ pub struct BackwardSearchResult {
     /// `levels[ℓ]` lists `(v, ψ_ℓ(v,w))` with `ψ > 0`, sorted by `v`.
     pub levels: Vec<Vec<(NodeId, f64)>>,
     /// Every node that held residue at any level, with its **maximum
-    /// residue over all levels**, sorted by node id. This is the search's
+    /// residue over all levels**, sorted by node id (empty unless the
+    /// search ran with `track_touched`). This is the search's
     /// *dependence record*: an edge update `(a, b)` perturbs only `b`'s
     /// residues — the divisor `d_in(b)` changes from `k` to `k'`, scaling
     /// every inflow of `b` at every level by exactly `k/k'`, and the flow
@@ -59,19 +60,77 @@ impl BackwardSearchResult {
     }
 }
 
+/// Dense scratch state of [`backward_search`], reused across searches.
+///
+/// It grows to the graph's node count on first use (and again whenever a
+/// larger graph comes along) and is all-zero between searches, so one
+/// workspace serves any number of searches over graphs of any size. Hold
+/// one per worker thread: a fresh workspace per search would cost `O(n)`
+/// each time.
+#[derive(Clone, Debug, Default)]
+pub struct BackwardWorkspace {
+    /// Next-level residue per node.
+    acc: Vec<f64>,
+    /// Maximum residue per node over the levels so far (only grown and
+    /// written by searches that track the touched record).
+    maxres: Vec<f64>,
+    /// One bit per node holding next-level residue.
+    next: Vec<u64>,
+    /// One bit per node that held residue at any level (tracking only).
+    seen: Vec<u64>,
+    /// The current level's `(node, residue)`, ascending by node id.
+    frontier: Vec<(NodeId, f64)>,
+}
+
+impl BackwardWorkspace {
+    /// An empty workspace; it sizes itself on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    fn ensure(&mut self, n: usize, track_touched: bool) {
+        let words = n.div_ceil(64);
+        if self.acc.len() < n {
+            self.acc.resize(n, 0.0);
+            self.next.resize(words, 0);
+        }
+        if track_touched && self.maxres.len() < n {
+            self.maxres.resize(n, 0.0);
+            self.seen.resize(words, 0);
+        }
+    }
+
+    /// Whether every dense array is back to zero (the between-searches
+    /// invariant).
+    #[cfg(test)]
+    fn is_clear(&self) -> bool {
+        self.acc
+            .iter()
+            .chain(&self.maxres)
+            .all(|&x| x.to_bits() == 0)
+            && self.next.iter().chain(&self.seen).all(|&w| w == 0)
+    }
+}
+
 /// Runs the backward search from target `w` with residue threshold
-/// `r_max`, exploring at most `max_level` levels.
+/// `r_max`, exploring at most `max_level` levels, in the scratch state of
+/// `ws`. The touched record ([`BackwardSearchResult::touched`]) is only
+/// built when `track_touched` is set.
 ///
 /// Every stored reserve satisfies `|ψ_ℓ(v,w) − π_ℓ(v,w)| < r_max·(1−√c)⁻¹`
 /// in the worst case and `< r_max` under the paper's accounting
 /// (Lemma 3.1); the property tests check against the exact oracle.
 pub fn backward_search(
     g: &DiGraph,
+    ws: &mut BackwardWorkspace,
     sqrt_c: f64,
     w: NodeId,
     r_max: f64,
     max_level: usize,
+    track_touched: bool,
 ) -> BackwardSearchResult {
+    let n = g.node_count();
+    assert!((w as usize) < n, "target {w} out of range for {n} nodes");
     let alpha = 1.0 - sqrt_c;
     let mut result = BackwardSearchResult {
         levels: Vec::new(),
@@ -80,128 +139,145 @@ pub fn backward_search(
         edge_traversals: 0,
     };
 
-    // The per-level state is kept as reused *coalesced sorted vectors*
-    // rather than hash maps: frontiers hold `O(n·π(w))` nodes, where
-    // sorted appends + merges beat hashing and keep the build/repair path
-    // allocation-light. `frontier` is sorted by node id with unique keys;
-    // pushes append to `next_log`, which a stable sort + linear coalesce
-    // turns into the next frontier. Within one node the append order is
-    // chronological (frontier is processed in id order), so the float
-    // accumulation order — and hence every reserve, bit for bit — matches
-    // a dense per-node accumulator.
-    let mut touched: Vec<(NodeId, f64)> = vec![(w, 1.0)];
-    let mut touched_scratch: Vec<(NodeId, f64)> = Vec::new();
-    let mut frontier: Vec<(NodeId, f64)> = vec![(w, 1.0)];
-    let mut next_log: Vec<(NodeId, f64)> = Vec::new();
-    let mut coalesced: Vec<(NodeId, f64)> = Vec::new();
+    // Dense per-node state instead of a traversal log: each level scatters
+    // its pushes into `acc` and marks the receivers in the `next` bitset;
+    // the next frontier is then read off the set bits in ascending id
+    // order, taking (and zeroing) each node's sum. The frontier is walked
+    // in id order and each out-list in adjacency order, so every node's
+    // inflows are summed in push order starting from its first inflow —
+    // and every reserve, bit for bit, is what a sorted per-node coalesce
+    // of the pushes gives (the test oracle). The word scan covers only the
+    // span of words the level wrote, and the touched record is one scan of
+    // `seen`. Nothing is allocated per level but the reserve lists.
+    ws.ensure(n, track_touched);
+    let BackwardWorkspace {
+        acc,
+        maxres,
+        next,
+        seen,
+        frontier,
+    } = ws;
+    frontier.clear();
+    frontier.push((w, 1.0));
+    let (mut seen_lo, mut seen_hi) = (w as usize >> 6, w as usize >> 6);
+    if track_touched {
+        maxres[w as usize] = 1.0;
+        seen[w as usize >> 6] |= 1 << (w & 63);
+    }
     let use_inline_degs = g.is_out_sorted_by_in_degree();
 
     for _level in 0..=max_level {
-        let mut reserves: Vec<(NodeId, f64)> = Vec::new();
-        let mut any_pushed = false;
-        next_log.clear();
-
-        for &(v, r) in &frontier {
+        let pushed = frontier.iter().filter(|&&(_, r)| r > r_max).count();
+        if pushed == 0 {
+            break;
+        }
+        let mut reserves = Vec::with_capacity(pushed);
+        let (mut lo, mut hi) = (usize::MAX, 0usize);
+        for &(v, r) in frontier.iter() {
             if r <= r_max {
                 continue; // abandoned residue: bounded error
             }
-            any_pushed = true;
-            result.pushes += 1;
             reserves.push((v, alpha * r));
             if use_inline_degs {
                 // Sorted graphs carry the targets' in-degrees inline with
                 // the out-adjacency: one sequential stream, no random
                 // in_degrees probe per neighbor.
                 let (neigh, degs) = g.out_neighbors_with_in_degrees(v);
+                result.edge_traversals += neigh.len();
                 for (&z, &dz) in neigh.iter().zip(degs) {
-                    result.edge_traversals += 1;
                     debug_assert!(dz >= 1, "out-neighbor must have an in-edge");
-                    next_log.push((z, sqrt_c * r / dz as f64));
+                    let (z, word) = (z as usize, z as usize >> 6);
+                    acc[z] += sqrt_c * r / dz as f64;
+                    next[word] |= 1 << (z & 63);
+                    lo = lo.min(word);
+                    hi = hi.max(word);
                 }
             } else {
-                for &z in g.out_neighbors(v) {
-                    result.edge_traversals += 1;
+                let neigh = g.out_neighbors(v);
+                result.edge_traversals += neigh.len();
+                for &z in neigh {
                     let din = g.in_degree(z) as f64;
                     debug_assert!(din >= 1.0, "out-neighbor must have an in-edge");
-                    next_log.push((z, sqrt_c * r / din));
+                    let (z, word) = (z as usize, z as usize >> 6);
+                    acc[z] += sqrt_c * r / din;
+                    next[word] |= 1 << (z & 63);
+                    lo = lo.min(word);
+                    hi = hi.max(word);
                 }
             }
         }
-
+        result.pushes += pushed;
         // The frontier is sorted, so `reserves` is born sorted by v.
         result.levels.push(reserves);
 
-        if !any_pushed {
-            result.levels.pop(); // last level produced nothing
-            break;
-        }
-        // Stable sort: equal ids keep chronological (push) order, fixing
-        // the accumulation order of each node's inflows.
-        next_log.sort_by_key(|&(z, _)| z);
-        coalesced.clear();
-        for &(z, delta) in next_log.iter() {
-            match coalesced.last_mut() {
-                Some(last) if last.0 == z => last.1 += delta,
-                _ => coalesced.push((z, delta)),
+        frontier.clear();
+        // Empty when nothing received residue (lo = usize::MAX > hi).
+        for word in lo..=hi {
+            let bits = std::mem::take(&mut next[word]);
+            let mut rest = bits;
+            while rest != 0 {
+                let z = (word << 6) | rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                let r = std::mem::take(&mut acc[z]);
+                frontier.push((z as NodeId, r));
+                if track_touched {
+                    maxres[z] = maxres[z].max(r);
+                }
+            }
+            if track_touched {
+                seen[word] |= bits;
             }
         }
-        merge_max_residues(&mut touched, &coalesced, &mut touched_scratch);
-        std::mem::swap(&mut frontier, &mut coalesced);
+        seen_lo = seen_lo.min(lo);
+        seen_hi = seen_hi.max(hi);
     }
 
-    // Drop trailing empty levels for compactness.
-    while result.levels.last().is_some_and(Vec::is_empty) {
-        result.levels.pop();
+    if track_touched {
+        let count = seen[seen_lo..=seen_hi]
+            .iter()
+            .map(|bits| bits.count_ones() as usize)
+            .sum();
+        let mut touched = Vec::with_capacity(count);
+        for (word, bits) in seen[seen_lo..=seen_hi].iter_mut().enumerate() {
+            let mut rest = std::mem::take(bits);
+            while rest != 0 {
+                let z = ((seen_lo + word) << 6) | rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                touched.push((z as NodeId, std::mem::take(&mut maxres[z])));
+            }
+        }
+        result.touched = touched;
     }
-    result.touched = touched;
     result
-}
-
-/// Merges one level's residues into the running per-node maxima (both
-/// sides sorted by node id, unique). `scratch` is the ping-pong output
-/// buffer, swapped into `touched` on return — reused across levels so
-/// the merge allocates only on growth.
-fn merge_max_residues(
-    touched: &mut Vec<(NodeId, f64)>,
-    level: &[(NodeId, f64)],
-    scratch: &mut Vec<(NodeId, f64)>,
-) {
-    scratch.clear();
-    scratch.reserve(touched.len() + level.len());
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < touched.len() && j < level.len() {
-        match touched[i].0.cmp(&level[j].0) {
-            std::cmp::Ordering::Less => {
-                scratch.push(touched[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                scratch.push(level[j]);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                scratch.push((touched[i].0, touched[i].1.max(level[j].1)));
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    scratch.extend_from_slice(&touched[i..]);
-    scratch.extend_from_slice(&level[j..]);
-    std::mem::swap(touched, scratch);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pagerank::exact_lhop_rppr_to;
+    use proptest::prelude::*;
+    use prsim_graph::ordering::sort_out_by_in_degree;
 
     const SQRT_C: f64 = 0.774_596_669_241_483_4;
+
+    /// A tracked search on its own workspace (tests only: production
+    /// callers hold one workspace per worker).
+    fn search(g: &DiGraph, w: NodeId, r_max: f64, max_level: usize) -> BackwardSearchResult {
+        backward_search(
+            g,
+            &mut BackwardWorkspace::new(),
+            SQRT_C,
+            w,
+            r_max,
+            max_level,
+            true,
+        )
+    }
 
     #[test]
     fn tiny_threshold_recovers_exact_values_on_path() {
         let g = prsim_gen::toys::path(4); // walks flow 3 -> 2 -> 1 -> 0
-        let res = backward_search(&g, SQRT_C, 0, 1e-12, 32);
+        let res = search(&g, 0, 1e-12, 32);
         let alpha = 1.0 - SQRT_C;
         assert!((res.reserve(0, 0) - alpha).abs() < 1e-9);
         assert!((res.reserve(1, 1) - alpha * SQRT_C).abs() < 1e-9);
@@ -215,8 +291,9 @@ mod tests {
     fn reserves_close_to_exact_on_random_graph() {
         let g = prsim_gen::chung_lu_undirected(prsim_gen::ChungLuConfig::new(150, 5.0, 2.0, 4));
         let r_max = 1e-4;
+        let mut ws = BackwardWorkspace::new();
         for w in [0u32, 3, 75] {
-            let res = backward_search(&g, SQRT_C, w, r_max, 64);
+            let res = backward_search(&g, &mut ws, SQRT_C, w, r_max, 64, false);
             let exact = exact_lhop_rppr_to(&g, SQRT_C, w, res.levels.len().max(1));
             for (l, level) in res.levels.iter().enumerate() {
                 for &(v, psi) in level {
@@ -237,8 +314,8 @@ mod tests {
     #[test]
     fn larger_threshold_costs_less() {
         let g = prsim_gen::chung_lu_undirected(prsim_gen::ChungLuConfig::new(400, 8.0, 2.0, 7));
-        let cheap = backward_search(&g, SQRT_C, 0, 1e-2, 64);
-        let costly = backward_search(&g, SQRT_C, 0, 1e-5, 64);
+        let cheap = search(&g, 0, 1e-2, 64);
+        let costly = search(&g, 0, 1e-5, 64);
         assert!(cheap.pushes < costly.pushes);
         assert!(cheap.entry_count() <= costly.entry_count());
     }
@@ -246,7 +323,7 @@ mod tests {
     #[test]
     fn level_zero_always_contains_target() {
         let g = prsim_gen::toys::cycle(5);
-        let res = backward_search(&g, SQRT_C, 2, 1e-3, 64);
+        let res = search(&g, 2, 1e-3, 64);
         let alpha = 1.0 - SQRT_C;
         assert!((res.reserve(0, 2) - alpha).abs() < 1e-12);
     }
@@ -258,7 +335,7 @@ mod tests {
         // backward search pushes along out-edges of 1: none. So only the
         // self reserve exists.
         let g = prsim_gen::toys::star_out(4);
-        let res = backward_search(&g, SQRT_C, 1, 1e-9, 64);
+        let res = search(&g, 1, 1e-9, 64);
         assert_eq!(res.levels.len(), 1);
         assert_eq!(res.levels[0].len(), 1);
         assert_eq!(res.levels[0][0].0, 1);
@@ -276,7 +353,7 @@ mod tests {
         let g = prsim_gen::chung_lu_undirected(prsim_gen::ChungLuConfig::new(120, 5.0, 2.0, 11));
         let r_max = 1e-3;
         let alpha = 1.0 - SQRT_C;
-        let res = backward_search(&g, SQRT_C, 7, r_max, 64);
+        let res = search(&g, 7, r_max, 64);
         // Sorted by node, positive residues, target present with max 1.
         assert!(res.touched.windows(2).all(|w| w[0].0 < w[1].0));
         assert!(res.touched.iter().all(|&(_, r)| r > 0.0));
@@ -307,7 +384,7 @@ mod tests {
         use prsim_graph::delta::DeltaGraph;
         let g = prsim_gen::chung_lu_undirected(prsim_gen::ChungLuConfig::new(200, 4.0, 2.2, 13));
         let w = 3;
-        let before = backward_search(&g, SQRT_C, w, 1e-3, 64);
+        let before = search(&g, w, 1e-3, 64);
         // Find an edge with both endpoints untouched.
         let edge = g.edges().find(|&(u, v)| {
             touched_residue(&before, u).is_none() && touched_residue(&before, v).is_none()
@@ -318,7 +395,7 @@ mod tests {
         };
         let mut d = DeltaGraph::new(g);
         assert!(d.delete_edge(u, v));
-        let after = backward_search(&d.snapshot(), SQRT_C, w, 1e-3, 64);
+        let after = search(&d.snapshot(), w, 1e-3, 64);
         assert_eq!(before.levels, after.levels);
         assert_eq!(before.touched, after.touched);
     }
@@ -333,7 +410,7 @@ mod tests {
         let g = prsim_gen::chung_lu_undirected(prsim_gen::ChungLuConfig::new(250, 5.0, 2.1, 29));
         let w = 5;
         let r_max = 1e-3;
-        let before = backward_search(&g, SQRT_C, w, r_max, 64);
+        let before = search(&g, w, r_max, 64);
         // A clean insert target: b touched but far from pushed, source
         // untouched entirely.
         let pick = g.nodes().find_map(|a| {
@@ -350,7 +427,7 @@ mod tests {
         let k = g.in_degree(b) as f64;
         let mut d = DeltaGraph::new(g);
         assert!(d.insert_edge(a, b));
-        let after = backward_search(&d.snapshot(), SQRT_C, w, r_max, 64);
+        let after = search(&d.snapshot(), w, r_max, 64);
         assert_eq!(before.levels, after.levels, "reserves must not change");
         let rb_before = touched_residue(&before, b).unwrap();
         let rb_after = touched_residue(&after, b).unwrap();
@@ -364,7 +441,7 @@ mod tests {
     #[test]
     fn respects_max_level() {
         let g = prsim_gen::toys::cycle(4);
-        let res = backward_search(&g, SQRT_C, 0, 1e-15, 5);
+        let res = search(&g, 0, 1e-15, 5);
         assert!(res.levels.len() <= 6);
     }
 
@@ -372,9 +449,10 @@ mod tests {
     fn monotone_error_in_threshold() {
         let g = prsim_gen::chung_lu_undirected(prsim_gen::ChungLuConfig::new(200, 6.0, 2.5, 9));
         let exact = exact_lhop_rppr_to(&g, SQRT_C, 5, 20);
+        let mut ws = BackwardWorkspace::new();
         let mut prev_err = f64::INFINITY;
         for r_max in [1e-2, 1e-3, 1e-4, 1e-5] {
-            let res = backward_search(&g, SQRT_C, 5, r_max, 20);
+            let res = backward_search(&g, &mut ws, SQRT_C, 5, r_max, 20, false);
             // Max error over the exact table's support.
             let mut err: f64 = 0.0;
             for (l, level) in exact.iter().enumerate() {
@@ -389,6 +467,202 @@ mod tests {
                 "error should shrink with r_max: {err} > {prev_err}"
             );
             prev_err = err;
+        }
+    }
+
+    /// The sorted-vector kernel the dense one replaced, kept as the
+    /// bit-identity oracle: pushes append `(z, Δ)` to a log that a stable
+    /// sort and a linear coalesce turn into the next frontier, and a
+    /// sorted merge folds each level into the per-node maximum residues.
+    fn oracle_search(
+        g: &DiGraph,
+        sqrt_c: f64,
+        w: NodeId,
+        r_max: f64,
+        max_level: usize,
+    ) -> BackwardSearchResult {
+        let alpha = 1.0 - sqrt_c;
+        let mut result = BackwardSearchResult {
+            levels: Vec::new(),
+            touched: Vec::new(),
+            pushes: 0,
+            edge_traversals: 0,
+        };
+        let mut touched: Vec<(NodeId, f64)> = vec![(w, 1.0)];
+        let mut frontier: Vec<(NodeId, f64)> = vec![(w, 1.0)];
+        let mut next_log: Vec<(NodeId, f64)> = Vec::new();
+        for _level in 0..=max_level {
+            let mut reserves = Vec::new();
+            next_log.clear();
+            for &(v, r) in &frontier {
+                if r <= r_max {
+                    continue;
+                }
+                result.pushes += 1;
+                reserves.push((v, alpha * r));
+                if g.is_out_sorted_by_in_degree() {
+                    let (neigh, degs) = g.out_neighbors_with_in_degrees(v);
+                    for (&z, &dz) in neigh.iter().zip(degs) {
+                        result.edge_traversals += 1;
+                        next_log.push((z, sqrt_c * r / dz as f64));
+                    }
+                } else {
+                    for &z in g.out_neighbors(v) {
+                        result.edge_traversals += 1;
+                        next_log.push((z, sqrt_c * r / g.in_degree(z) as f64));
+                    }
+                }
+            }
+            if reserves.is_empty() {
+                break;
+            }
+            result.levels.push(reserves);
+            // Stable sort: equal ids keep push order, fixing each node's
+            // accumulation order.
+            next_log.sort_by_key(|&(z, _)| z);
+            let mut coalesced: Vec<(NodeId, f64)> = Vec::new();
+            for &(z, delta) in &next_log {
+                match coalesced.last_mut() {
+                    Some(last) if last.0 == z => last.1 += delta,
+                    _ => coalesced.push((z, delta)),
+                }
+            }
+            let mut merged = Vec::with_capacity(touched.len() + coalesced.len());
+            let (mut i, mut j) = (0, 0);
+            while i < touched.len() && j < coalesced.len() {
+                match touched[i].0.cmp(&coalesced[j].0) {
+                    std::cmp::Ordering::Less => {
+                        merged.push(touched[i]);
+                        i += 1;
+                    }
+                    std::cmp::Ordering::Greater => {
+                        merged.push(coalesced[j]);
+                        j += 1;
+                    }
+                    std::cmp::Ordering::Equal => {
+                        merged.push((touched[i].0, touched[i].1.max(coalesced[j].1)));
+                        i += 1;
+                        j += 1;
+                    }
+                }
+            }
+            merged.extend_from_slice(&touched[i..]);
+            merged.extend_from_slice(&coalesced[j..]);
+            touched = merged;
+            frontier = coalesced;
+        }
+        result.touched = touched;
+        result
+    }
+
+    fn bits(list: &[(NodeId, f64)]) -> Vec<(NodeId, u64)> {
+        list.iter().map(|&(v, x)| (v, x.to_bits())).collect()
+    }
+
+    /// Runs the dense kernel tracked and untracked on `ws` against the
+    /// oracle and checks bit-identity and the all-zero workspace.
+    fn check_against_oracle(
+        g: &DiGraph,
+        ws: &mut BackwardWorkspace,
+        w: NodeId,
+        r_max: f64,
+        max_level: usize,
+    ) -> Result<(), String> {
+        let want = oracle_search(g, SQRT_C, w, r_max, max_level);
+        let want_levels: Vec<_> = want.levels.iter().map(|l| bits(l)).collect();
+        for track in [true, false] {
+            let got = backward_search(g, ws, SQRT_C, w, r_max, max_level, track);
+            let case = format!(
+                "n={} w={w} r_max={r_max:e} max_level={max_level} track={track} sorted={}",
+                g.node_count(),
+                g.is_out_sorted_by_in_degree()
+            );
+            if !ws.is_clear() {
+                return Err(format!("workspace not all-zero after the search ({case})"));
+            }
+            let got_levels: Vec<_> = got.levels.iter().map(|l| bits(l)).collect();
+            if got_levels != want_levels {
+                return Err(format!("levels differ ({case})"));
+            }
+            let want_touched = if track {
+                bits(&want.touched)
+            } else {
+                Vec::new()
+            };
+            if bits(&got.touched) != want_touched {
+                return Err(format!("touched records differ ({case})"));
+            }
+            if (got.pushes, got.edge_traversals) != (want.pushes, want.edge_traversals) {
+                return Err(format!(
+                    "cost counters differ: ({}, {}) vs ({}, {}) ({case})",
+                    got.pushes, got.edge_traversals, want.pushes, want.edge_traversals
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// Random directed graphs on 1..200 nodes: several bitset words, some
+    /// nodes without in- or out-edges.
+    fn arb_digraph() -> impl Strategy<Value = DiGraph> {
+        (1usize..200).prop_flat_map(|n| {
+            proptest::collection::vec((0..n as u32, 0..n as u32), 0..3 * n).prop_map(move |edges| {
+                let mut edges: Vec<_> = edges.into_iter().filter(|(u, v)| u != v).collect();
+                edges.sort_unstable();
+                edges.dedup();
+                DiGraph::from_edges(n, &edges)
+            })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn dense_kernel_is_bit_identical_to_the_sorted_vector_oracle(
+            graphs in proptest::collection::vec(arb_digraph(), 1..5),
+            r_exp in 2i32..10,
+            depth in 0usize..4,
+            offset in 0usize..64,
+        ) {
+            let r_max = 10f64.powi(-r_exp);
+            let max_level = [0, 1, 2, 40][depth];
+            // One workspace across graphs that shrink and grow.
+            let mut ws = BackwardWorkspace::new();
+            for g in graphs {
+                let mut sorted = g.clone();
+                sort_out_by_in_degree(&mut sorted);
+                let n = g.node_count();
+                for layout in [&g, &sorted] {
+                    for w in (offset % n..n).step_by(n.div_ceil(6)) {
+                        if let Err(msg) = check_against_oracle(layout, &mut ws, w as NodeId, r_max, max_level) {
+                            prop_assert!(false, "{msg}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dense_kernel_matches_the_oracle_on_power_law_graphs() {
+        // Directed Chung-Lu graphs: heavy-tailed frontiers that span many
+        // bitset words; one workspace across sizes that grow and shrink.
+        let mut ws = BackwardWorkspace::new();
+        for (i, n) in [2_000usize, 60, 3_000, 700].into_iter().enumerate() {
+            let cfg = prsim_gen::ChungLuConfig::new(n, 6.0, 2.1, 100 + i as u64);
+            let g = prsim_gen::chung_lu_directed(cfg, 2.4, 7 + i as u64);
+            let mut sorted = g.clone();
+            sort_out_by_in_degree(&mut sorted);
+            let hub = (0..n as NodeId).max_by_key(|&v| g.out_degree(v)).unwrap();
+            for layout in [&g, &sorted] {
+                for w in [hub, 0, (n / 2) as NodeId] {
+                    for (r_max, max_level) in [(1e-3, 64), (1e-5, 64), (1e-7, 3)] {
+                        check_against_oracle(layout, &mut ws, w, r_max, max_level)
+                            .unwrap_or_else(|msg| panic!("{msg}"));
+                    }
+                }
+            }
         }
     }
 }

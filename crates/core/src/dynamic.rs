@@ -40,11 +40,16 @@
 //!
 //! Every query therefore sees a fully fresh engine: there is no
 //! staleness window at all in incremental mode. Per-update cost is a
-//! small number of linear passes plus repair work proportional to the
-//! touched hub searches — `O(n + m)` with a small constant, far below a
-//! rebuild (see `BENCH_dynamic.json`), though not sub-linear; a
-//! CSR-patching/sparse-push variant is the natural next step if linear
-//! passes ever dominate.
+//! few linear passes (the CSR snapshot, the π refinement, the engine
+//! reassembly) plus one full backward search per dirty hub. Each repair
+//! worker runs its searches on one reused
+//! [`crate::backward::BackwardWorkspace`], so a search costs its edge
+//! traversals plus a bitset word scan per level: no per-traversal log,
+//! no sort and no allocation beyond its output. That is `O(n + m)` with
+//! a small constant, far below a rebuild (see `BENCH_dynamic.json`),
+//! but not sub-linear: a dirty hub is re-searched in full however small
+//! the change to its residues, and the linear passes run on every
+//! update. Lazy or sparse-push repair is the next step if that matters.
 
 use prsim_graph::delta::DeltaGraph;
 use prsim_graph::{DiGraph, EdgeUpdate, NodeId};
@@ -458,6 +463,12 @@ impl DynamicPrsim {
     /// in rebuild mode).
     pub fn engine(&self) -> Option<&Prsim> {
         self.engine.as_ref()
+    }
+
+    /// The per-hub touched sets the dirty filter classifies updates
+    /// against (empty in rebuild mode).
+    pub fn touch_sets(&self) -> &HubTouchSets {
+        &self.touch
     }
 
     /// Demotes the engine's postings arena to a paged on-disk file under

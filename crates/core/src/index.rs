@@ -53,7 +53,11 @@
 //!
 //! Hub construction is embarrassingly parallel (one backward search per
 //! hub); [`PrsimIndex::build`] fans the searches out over
-//! `build_threads` workers.
+//! `build_threads` workers, each running its searches on one reused
+//! [`crate::backward::BackwardWorkspace`]. Only the tracked builds
+//! ([`PrsimIndex::build_tracked`], for indexes the dynamic engine
+//! repairs) record the per-hub touched sets, which run to millions of
+//! entries at n = 100k; an index that is never repaired skips them.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -62,7 +66,7 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use prsim_graph::{DiGraph, NodeId};
 use prsim_storage::Storage;
 
-use crate::backward::backward_search;
+use crate::backward::{backward_search, BackwardWorkspace};
 use crate::paging::pagefile;
 use crate::paging::pool::BufferPool;
 use crate::paging::{PagedOptions, PagingStats, PostingsScratch};
@@ -88,6 +92,16 @@ type HubLists = Vec<Vec<(NodeId, f64)>>;
 
 /// One hub's touched record: sorted `(node, max residue over levels)`.
 type TouchRecord = Vec<(NodeId, f64)>;
+
+/// The per-search knobs [`PrsimIndex::search_many`] hands every worker.
+#[derive(Clone, Copy, Debug)]
+struct SearchParams {
+    sqrt_c: f64,
+    r_max: f64,
+    max_level: usize,
+    /// Whether to record the touched sets (repairable indexes only).
+    track_touched: bool,
+}
 
 /// Storage width of the arena's reserve values.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -446,7 +460,7 @@ impl PrsimIndex {
         max_level: usize,
         build_threads: usize,
     ) -> Self {
-        Self::build_tracked_with(
+        Self::build_with(
             g,
             hubs,
             sqrt_c,
@@ -455,7 +469,28 @@ impl PrsimIndex {
             build_threads,
             ReservePrecision::F64,
         )
-        .0
+    }
+
+    /// [`PrsimIndex::build`] with an explicit reserve precision. No touched
+    /// sets are recorded: an index that is never repaired has no use for
+    /// them.
+    #[allow(clippy::too_many_arguments)] // the build knobs are the config
+    pub fn build_with(
+        g: &DiGraph,
+        hubs: Vec<NodeId>,
+        sqrt_c: f64,
+        r_max: f64,
+        max_level: usize,
+        build_threads: usize,
+        precision: ReservePrecision,
+    ) -> Self {
+        let params = SearchParams {
+            sqrt_c,
+            r_max,
+            max_level,
+            track_touched: false,
+        };
+        Self::assemble(g, hubs, params, build_threads, precision).0
     }
 
     /// [`PrsimIndex::build`], additionally returning the per-hub touched
@@ -481,9 +516,6 @@ impl PrsimIndex {
     }
 
     /// [`PrsimIndex::build_tracked`] with an explicit reserve precision.
-    /// The arena is assembled in one counting pass over the per-hub
-    /// search output: entry totals are counted first, the arrays reserved
-    /// exactly, then filled in rank order.
     #[allow(clippy::too_many_arguments)] // the build knobs are the config
     pub fn build_tracked_with(
         g: &DiGraph,
@@ -494,13 +526,33 @@ impl PrsimIndex {
         build_threads: usize,
         precision: ReservePrecision,
     ) -> (Self, HubTouchSets) {
+        let params = SearchParams {
+            sqrt_c,
+            r_max,
+            max_level,
+            track_touched: true,
+        };
+        Self::assemble(g, hubs, params, build_threads, precision)
+    }
+
+    /// Runs every hub's search and assembles the arena in one counting
+    /// pass over the output: entry totals are counted first, the arrays
+    /// reserved exactly, then filled in rank order. The touched sets are
+    /// empty unless `params.track_touched`.
+    fn assemble(
+        g: &DiGraph,
+        hubs: Vec<NodeId>,
+        params: SearchParams,
+        build_threads: usize,
+        precision: ReservePrecision,
+    ) -> (Self, HubTouchSets) {
         let n = g.node_count();
         let mut hub_pos = vec![NOT_A_HUB; n];
         for (rank, &w) in hubs.iter().enumerate() {
             hub_pos[w as usize] = rank as u32;
         }
 
-        let searched = Self::search_many(g, &hubs, sqrt_c, r_max, max_level, build_threads);
+        let searched = Self::search_many(g, &hubs, params, build_threads);
         let total_entries: usize = searched
             .iter()
             .map(|(lists, _)| lists.iter().map(Vec::len).sum::<usize>())
@@ -519,11 +571,13 @@ impl PrsimIndex {
             compactions: 0,
             paged: None,
         };
-        let mut touched = Vec::with_capacity(searched.len());
+        let mut touched = Vec::new();
         for (lists, t) in searched {
             let slot = index.append_run(&lists);
             index.slots.push(slot);
-            touched.push(t);
+            if params.track_touched {
+                touched.push(t);
+            }
         }
 
         (index, HubTouchSets { per_hub: touched })
@@ -561,21 +615,21 @@ impl PrsimIndex {
     }
 
     /// Runs the backward searches for `hubs` (any node list) over
-    /// `threads` workers, returning per-hub filtered reserve lists and
-    /// touched sets in input order.
+    /// `threads` workers, each with its own [`BackwardWorkspace`],
+    /// returning per-hub filtered reserve lists and touched sets (empty
+    /// unless tracked) in input order.
     fn search_many(
         g: &DiGraph,
         hubs: &[NodeId],
-        sqrt_c: f64,
-        r_max: f64,
-        max_level: usize,
+        params: SearchParams,
         threads: usize,
     ) -> Vec<(HubLists, TouchRecord)> {
         let threads = threads.max(1).min(hubs.len().max(1));
         if threads <= 1 || hubs.len() < 4 {
+            let mut ws = BackwardWorkspace::new();
             return hubs
                 .iter()
-                .map(|&w| Self::search_one(g, w, sqrt_c, r_max, max_level))
+                .map(|&w| Self::search_one(g, &mut ws, w, params))
                 .collect();
         }
         let mut slots: Vec<Option<(HubLists, TouchRecord)>> = vec![None; hubs.len()];
@@ -583,13 +637,16 @@ impl PrsimIndex {
         let slots_mutex = std::sync::Mutex::new(&mut slots);
         std::thread::scope(|scope| {
             for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= hubs.len() {
-                        break;
+                scope.spawn(|| {
+                    let mut ws = BackwardWorkspace::new();
+                    loop {
+                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        if i >= hubs.len() {
+                            break;
+                        }
+                        let result = Self::search_one(g, &mut ws, hubs[i], params);
+                        slots_mutex.lock().expect("no panics hold this lock")[i] = Some(result);
                     }
-                    let result = Self::search_one(g, hubs[i], sqrt_c, r_max, max_level);
-                    slots_mutex.lock().expect("no panics hold this lock")[i] = Some(result);
                 });
             }
         });
@@ -601,16 +658,20 @@ impl PrsimIndex {
 
     fn search_one(
         g: &DiGraph,
+        ws: &mut BackwardWorkspace,
         w: NodeId,
-        sqrt_c: f64,
-        r_max: f64,
-        max_level: usize,
+        p: SearchParams,
     ) -> (HubLists, TouchRecord) {
-        let res = backward_search(g, sqrt_c, w, r_max, max_level);
+        let res = backward_search(g, ws, p.sqrt_c, w, p.r_max, p.max_level, p.track_touched);
         let lists = res
             .levels
             .into_iter()
-            .map(|level| level.into_iter().filter(|&(_, psi)| psi > r_max).collect())
+            .map(|level| {
+                level
+                    .into_iter()
+                    .filter(|&(_, psi)| psi > p.r_max)
+                    .collect()
+            })
             .collect();
         (lists, res.touched)
     }
@@ -642,7 +703,13 @@ impl PrsimIndex {
         threads: usize,
     ) {
         let nodes: Vec<NodeId> = ranks.iter().map(|&r| self.hubs[r]).collect();
-        let repaired = Self::search_many(g, &nodes, sqrt_c, r_max, max_level, threads);
+        let params = SearchParams {
+            sqrt_c,
+            r_max,
+            max_level,
+            track_touched: true,
+        };
+        let repaired = Self::search_many(g, &nodes, params, threads);
         for (&rank, (lists, touched)) in ranks.iter().zip(repaired) {
             let old = self.slots[rank];
             let (start, end) = (
@@ -1449,7 +1516,7 @@ mod tests {
     }
 
     fn build_f32(g: &DiGraph, j0: usize) -> PrsimIndex {
-        PrsimIndex::build_tracked_with(
+        PrsimIndex::build_with(
             g,
             top_hubs(g, j0),
             SQRT_C,
@@ -1458,7 +1525,6 @@ mod tests {
             1,
             ReservePrecision::F32,
         )
-        .0
     }
 
     fn level_entries(idx: &PrsimIndex, w: NodeId, level: usize) -> Vec<(NodeId, f64)> {
@@ -1491,8 +1557,9 @@ mod tests {
         let g = graph();
         let idx = build(&g, 8, 2);
         let r_max = 1e-4;
+        let mut ws = crate::backward::BackwardWorkspace::new();
         for &w in idx.hubs() {
-            let direct = crate::backward::backward_search(&g, SQRT_C, w, r_max, 64);
+            let direct = crate::backward::backward_search(&g, &mut ws, SQRT_C, w, r_max, 64, false);
             for (l, level) in direct.levels.iter().enumerate() {
                 let expect: Vec<(NodeId, f64)> = level
                     .iter()

@@ -149,7 +149,7 @@ impl Prsim {
         // hubs, the top `walk_cache_budget` get pre-sampled walk pools.
         let order = rank_by_pagerank(&pi);
         let hubs: Vec<NodeId> = order.iter().take(j0).copied().collect();
-        let (index, _) = PrsimIndex::build_tracked_with(
+        let index = PrsimIndex::build_with(
             &graph,
             hubs,
             sqrt_c,

@@ -1,7 +1,7 @@
 //! Property-based tests of the PRSim core invariants.
 
 use proptest::prelude::*;
-use prsim_core::backward::backward_search;
+use prsim_core::backward::{backward_search, BackwardWorkspace};
 use prsim_core::pagerank::{exact_lhop_rppr_to, reverse_pagerank, second_moment};
 use prsim_core::vbbw::variance_bounded_backward_walk;
 use prsim_core::walk::{sample_walk, Terminal};
@@ -43,7 +43,7 @@ proptest! {
     fn backward_reserves_never_exceed_truth(g in arb_graph(), w_raw in 0u32..30, r_exp in 2u32..6) {
         let w = w_raw % g.node_count() as u32;
         let r_max = 10f64.powi(-(r_exp as i32));
-        let res = backward_search(&g, SQRT_C, w, r_max, 40);
+        let res = backward_search(&g, &mut BackwardWorkspace::new(), SQRT_C, w, r_max, 40, false);
         let exact = exact_lhop_rppr_to(&g, SQRT_C, w, res.levels.len().max(1));
         for (l, level) in res.levels.iter().enumerate() {
             for &(v, psi) in level {

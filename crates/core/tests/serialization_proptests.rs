@@ -43,7 +43,7 @@ fn build_index(g: &DiGraph, j0: usize, precision: ReservePrecision) -> PrsimInde
         .into_iter()
         .take(j0.min(g.node_count()))
         .collect();
-    PrsimIndex::build_tracked_with(g, hubs, SQRT_C, 1e-3, 64, 1, precision).0
+    PrsimIndex::build_with(g, hubs, SQRT_C, 1e-3, 64, 1, precision)
 }
 
 /// Structural invariants query code relies on: whatever `from_bytes`
