@@ -66,7 +66,11 @@ USAGE:
       recovered index is demoted to a paged arena file in DIR behind a
       buffer pool hard-capped at B resident bytes; page faults degrade
       the affected queries (they fall back to live backward walks and
-      report degraded=true) instead of crashing
+      report degraded=true) instead of crashing. B budgets the paged
+      arena's base only, not the process: the graph, π, touched
+      records, update scratch, epoch copies and the resident overlay
+      that repairs append to stay outside it (`stats` reports them as
+      mem_* keys)
       resident engine: queries over immutable epoch snapshots, updates
       through a durable fsync-on-commit WAL in DIR (replayed on restart).
       Speaks a line protocol (query/update/sync/stats/health/checkpoint/
@@ -718,6 +722,8 @@ pub fn serve(argv: &[String]) -> Result<ExitCode, String> {
         None => prsim_server::EngineHost::open(&g, Path::new(wal_dir), options)
             .map_err(|e| e.to_string())?,
     };
+    // The host holds its own copy; the loaded graph is dead weight now.
+    drop(g);
     let recovery = host.recovery();
     eprintln!(
         "serving in {:.3}s: {} nodes, {} edges; recovery: checkpoint={} replayed {} records \

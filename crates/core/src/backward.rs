@@ -64,9 +64,9 @@ impl BackwardSearchResult {
 ///
 /// It grows to the graph's node count on first use (and again whenever a
 /// larger graph comes along) and is all-zero between searches, so one
-/// workspace serves any number of searches over graphs of any size. Hold
-/// one per worker thread: a fresh workspace per search would cost `O(n)`
-/// each time.
+/// workspace serves any number of searches over graphs of any size, with
+/// no allocation after the first. Hold one per worker thread: a fresh
+/// workspace per search would cost `O(n)` each time.
 #[derive(Clone, Debug, Default)]
 pub struct BackwardWorkspace {
     /// Next-level residue per node.
@@ -93,11 +93,23 @@ impl BackwardWorkspace {
         if self.acc.len() < n {
             self.acc.resize(n, 0.0);
             self.next.resize(words, 0);
+            // A frontier never holds more than n nodes: room for all of
+            // them up front means no search ever grows it (memory that
+            // is never written is never made resident).
+            self.frontier.clear();
+            self.frontier.reserve_exact(n);
         }
         if track_touched && self.maxres.len() < n {
             self.maxres.resize(n, 0.0);
             self.seen.resize(words, 0);
         }
+    }
+
+    /// Bytes the workspace holds allocated (memory accounting).
+    pub fn capacity_bytes(&self) -> usize {
+        (self.acc.capacity() + self.maxres.capacity()) * std::mem::size_of::<f64>()
+            + (self.next.capacity() + self.seen.capacity()) * std::mem::size_of::<u64>()
+            + self.frontier.capacity() * std::mem::size_of::<(NodeId, f64)>()
     }
 
     /// Whether every dense array is back to zero (the between-searches
@@ -109,6 +121,98 @@ impl BackwardWorkspace {
             .chain(&self.maxres)
             .all(|&x| x.to_bits() == 0)
             && self.next.iter().chain(&self.seen).all(|&w| w == 0)
+    }
+}
+
+/// One entry of a stored touched record: a node the search touched and an
+/// upper bound on its maximum residue over all levels, rounded *up* to
+/// `f32` (8 bytes instead of the 16 of an exact `(u32, f64)` pair).
+///
+/// The dirty rule ([`crate::index::HubTouchSets::plan_update`]) only
+/// compares bounds with `r_max` after monotone rescalings, so a bound
+/// rounded up stays a sound bound: at worst a hub whose exact bound sits
+/// within one `f32` ulp of `r_max` is re-searched when it need not be,
+/// which changes nothing the search stores.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct TouchEntry {
+    /// The touched node.
+    pub node: NodeId,
+    /// Upper bound on the node's maximum residue, rounded up to `f32`.
+    pub bound: f32,
+}
+
+impl TouchEntry {
+    /// The entry for `node` with bound `x` rounded up to the next `f32`
+    /// at or above it (`x` is a nonnegative residue bound).
+    #[inline]
+    pub fn new(node: NodeId, x: f64) -> Self {
+        TouchEntry {
+            node,
+            bound: f32_at_least(x),
+        }
+    }
+}
+
+/// The smallest `f32` that is `>= x`, for nonnegative `x` (an `f64` too
+/// large for `f32` rounds to infinity).
+#[inline]
+fn f32_at_least(x: f64) -> f32 {
+    debug_assert!(x >= 0.0, "residue bounds are nonnegative: {x}");
+    let f = x as f32;
+    if f64::from(f) < x {
+        // Round-to-nearest went down; step one ulp up (positive finite
+        // floats order like their bit patterns).
+        f32::from_bits(f.to_bits() + 1)
+    } else {
+        f
+    }
+}
+
+/// Receives a search's output as [`search_into`] produces it, so callers
+/// decide what to keep and where: the allocating
+/// [`backward_search`] builds a [`BackwardSearchResult`], the index
+/// writes straight into reused buffers.
+pub(crate) trait SearchSink {
+    /// Node `v` was pushed at the current level with reserve `psi`
+    /// (nodes arrive in ascending id order within a level).
+    fn reserve(&mut self, v: NodeId, psi: f64);
+    /// The current level ended; called once per level that pushed.
+    fn end_level(&mut self);
+    /// Whether the search should build the touched record.
+    fn tracks_touched(&self) -> bool;
+    /// The touched record follows: `count` calls to [`Self::touched`],
+    /// ascending by node id.
+    fn begin_touched(&mut self, count: usize);
+    /// One node of the touched record with its maximum residue.
+    fn touched(&mut self, v: NodeId, max_residue: f64);
+}
+
+/// Collects a search into a [`BackwardSearchResult`].
+struct ResultSink {
+    result: BackwardSearchResult,
+    level: Vec<(NodeId, f64)>,
+    track: bool,
+}
+
+impl SearchSink for ResultSink {
+    fn reserve(&mut self, v: NodeId, psi: f64) {
+        self.level.push((v, psi));
+    }
+
+    fn end_level(&mut self) {
+        self.result.levels.push(std::mem::take(&mut self.level));
+    }
+
+    fn tracks_touched(&self) -> bool {
+        self.track
+    }
+
+    fn begin_touched(&mut self, count: usize) {
+        self.result.touched = Vec::with_capacity(count);
+    }
+
+    fn touched(&mut self, v: NodeId, max_residue: f64) {
+        self.result.touched.push((v, max_residue));
     }
 }
 
@@ -129,15 +233,40 @@ pub fn backward_search(
     max_level: usize,
     track_touched: bool,
 ) -> BackwardSearchResult {
+    let mut sink = ResultSink {
+        result: BackwardSearchResult {
+            levels: Vec::new(),
+            touched: Vec::new(),
+            pushes: 0,
+            edge_traversals: 0,
+        },
+        level: Vec::new(),
+        track: track_touched,
+    };
+    let (pushes, edge_traversals) = search_into(g, ws, sqrt_c, w, r_max, max_level, &mut sink);
+    sink.result.pushes = pushes;
+    sink.result.edge_traversals = edge_traversals;
+    sink.result
+}
+
+/// The search kernel behind [`backward_search`], streaming its output
+/// into `sink` and returning `(pushes, edge_traversals)`. It allocates
+/// nothing itself once `ws` is sized to the graph; what the output costs
+/// is up to the sink.
+pub(crate) fn search_into<S: SearchSink>(
+    g: &DiGraph,
+    ws: &mut BackwardWorkspace,
+    sqrt_c: f64,
+    w: NodeId,
+    r_max: f64,
+    max_level: usize,
+    sink: &mut S,
+) -> (usize, usize) {
     let n = g.node_count();
     assert!((w as usize) < n, "target {w} out of range for {n} nodes");
     let alpha = 1.0 - sqrt_c;
-    let mut result = BackwardSearchResult {
-        levels: Vec::new(),
-        touched: Vec::new(),
-        pushes: 0,
-        edge_traversals: 0,
-    };
+    let track_touched = sink.tracks_touched();
+    let (mut pushes, mut edge_traversals) = (0usize, 0usize);
 
     // Dense per-node state instead of a traversal log: each level scatters
     // its pushes into `acc` and marks the receivers in the `next` bitset;
@@ -148,7 +277,7 @@ pub fn backward_search(
     // and every reserve, bit for bit, is what a sorted per-node coalesce
     // of the pushes gives (the test oracle). The word scan covers only the
     // span of words the level wrote, and the touched record is one scan of
-    // `seen`. Nothing is allocated per level but the reserve lists.
+    // `seen`.
     ws.ensure(n, track_touched);
     let BackwardWorkspace {
         acc,
@@ -171,19 +300,18 @@ pub fn backward_search(
         if pushed == 0 {
             break;
         }
-        let mut reserves = Vec::with_capacity(pushed);
         let (mut lo, mut hi) = (usize::MAX, 0usize);
         for &(v, r) in frontier.iter() {
             if r <= r_max {
                 continue; // abandoned residue: bounded error
             }
-            reserves.push((v, alpha * r));
+            sink.reserve(v, alpha * r);
             if use_inline_degs {
                 // Sorted graphs carry the targets' in-degrees inline with
                 // the out-adjacency: one sequential stream, no random
                 // in_degrees probe per neighbor.
                 let (neigh, degs) = g.out_neighbors_with_in_degrees(v);
-                result.edge_traversals += neigh.len();
+                edge_traversals += neigh.len();
                 for (&z, &dz) in neigh.iter().zip(degs) {
                     debug_assert!(dz >= 1, "out-neighbor must have an in-edge");
                     let (z, word) = (z as usize, z as usize >> 6);
@@ -194,7 +322,7 @@ pub fn backward_search(
                 }
             } else {
                 let neigh = g.out_neighbors(v);
-                result.edge_traversals += neigh.len();
+                edge_traversals += neigh.len();
                 for &z in neigh {
                     let din = g.in_degree(z) as f64;
                     debug_assert!(din >= 1.0, "out-neighbor must have an in-edge");
@@ -206,9 +334,9 @@ pub fn backward_search(
                 }
             }
         }
-        result.pushes += pushed;
-        // The frontier is sorted, so `reserves` is born sorted by v.
-        result.levels.push(reserves);
+        pushes += pushed;
+        // The frontier is sorted, so the level's reserves arrive sorted by v.
+        sink.end_level();
 
         frontier.clear();
         // Empty when nothing received residue (lo = usize::MAX > hi).
@@ -237,18 +365,17 @@ pub fn backward_search(
             .iter()
             .map(|bits| bits.count_ones() as usize)
             .sum();
-        let mut touched = Vec::with_capacity(count);
+        sink.begin_touched(count);
         for (word, bits) in seen[seen_lo..=seen_hi].iter_mut().enumerate() {
             let mut rest = std::mem::take(bits);
             while rest != 0 {
                 let z = ((seen_lo + word) << 6) | rest.trailing_zeros() as usize;
                 rest &= rest - 1;
-                touched.push((z as NodeId, std::mem::take(&mut maxres[z])));
+                sink.touched(z as NodeId, std::mem::take(&mut maxres[z]));
             }
         }
-        result.touched = touched;
     }
-    result
+    (pushes, edge_traversals)
 }
 
 #[cfg(test)]
@@ -436,6 +563,27 @@ mod tests {
             (rb_after - expect).abs() <= 1e-12 * expect.max(1e-300),
             "residue {rb_before} should rescale to {expect}, got {rb_after}"
         );
+    }
+
+    #[test]
+    fn touch_entries_round_bounds_up_to_the_nearest_f32() {
+        for x in [
+            0.0,
+            1.0,
+            0.1,
+            SQRT_C,
+            1e-3 / 3.0,
+            1e-40,
+            f64::MIN_POSITIVE,
+            3.4e38,
+            1e39,
+        ] {
+            let b = f64::from(TouchEntry::new(0, x).bound);
+            assert!(b >= x, "{x} rounded down to {b}");
+            // Nothing representable sits between x and its bound.
+            let below = f64::from(f32::from_bits((b as f32).to_bits().saturating_sub(1)));
+            assert!(b == x || below < x, "{x} rounded past {below} to {b}");
+        }
     }
 
     #[test]

@@ -50,14 +50,46 @@
 //! but not sub-linear: a dirty hub is re-searched in full however small
 //! the change to its residues, and the linear passes run on every
 //! update. Lazy or sparse-push repair is the next step if that matters.
+//!
+//! ## The per-update memory contract
+//!
+//! After warm-up, an applied update allocates no large block unless it
+//! trips a drift rebuild or a delta-overlay compaction. Every buffer the
+//! update path fills is kept and refilled in place:
+//!
+//! * the new CSR snapshot is merged into the previous engine graph's
+//!   buffers ([`DeltaGraph::snapshot_into`]), and its in-degree sort
+//!   needs no edge-sized temporaries;
+//! * the π refinement runs on a kept `RefineScratch`;
+//! * the repair workers keep their backward-search workspaces and run
+//!   buffers in a `RepairScratch`, and a re-searched hub's touched
+//!   record is refilled in place;
+//! * touched records are 8 bytes per entry ([`crate::backward::TouchEntry`])
+//!   and carry headroom, so a clean hub's new entry lands in spare
+//!   capacity;
+//! * the postings arena grows once to room for a full compaction cycle
+//!   and then compacts in place.
+//!
+//! Warm-up is the first updates that size these buffers, plus the
+//! arena's first compaction. Memory that an update frees is memory the
+//! allocator keeps resident, so this contract is what keeps a serving
+//! process's peak RSS near its boot size. A host that publishes epochs
+//! keeps its side of it by recycling retired epochs
+//! (`prsim_server`'s publish refreshes one with `Prsim::clone_from`).
+//! Growth of the node universe, a hub whose run or touched record
+//! outgrows its headroom, and a paged arena's overlay while repairs still
+//! move hubs into it do allocate; each grows with slack, so rarely.
+//! [`DynamicPrsim::memory`] reports what the engine holds, by component.
 
 use prsim_graph::delta::DeltaGraph;
 use prsim_graph::{DiGraph, EdgeUpdate, NodeId};
 use rand::Rng;
 
 use crate::config::{DynamicParams, PrsimConfig};
-use crate::index::{HubTouchSets, PrsimIndex};
-use crate::pagerank::{rank_by_pagerank, refine_reverse_pagerank};
+use crate::index::{HubTouchSets, PrsimIndex, RepairScratch};
+use crate::pagerank::{
+    rank_by_pagerank, refine_reverse_pagerank, refine_reverse_pagerank_with, RefineScratch,
+};
 use crate::query::{Prsim, QueryStats};
 use crate::scores::SimRankScores;
 use crate::PrsimError;
@@ -123,6 +155,28 @@ pub struct DynamicTotals {
     pub cache_invalidations: usize,
 }
 
+/// What a [`DynamicPrsim`] holds in memory, in bytes counted from
+/// capacities (observability: `prsim serve`'s `stats` reports these).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct MemoryStats {
+    /// The per-hub touched records: 8 bytes per entry of capacity.
+    pub touch_bytes: usize,
+    /// The update path's reusable scratch: the repair workers'
+    /// workspaces and run buffers and the π refinement's vectors.
+    pub update_scratch_bytes: usize,
+    /// Live postings of the engine's in-memory arena (a paged arena's
+    /// overlay).
+    pub arena_live_bytes: usize,
+    /// Tombstoned postings of that arena awaiting compaction.
+    pub arena_dead_bytes: usize,
+    /// Everything the arena and its tables hold allocated.
+    pub arena_bytes: usize,
+    /// The engine's CSR graph.
+    pub graph_bytes: usize,
+    /// The delta overlay's base CSR, sort scratch and pending edges.
+    pub delta_bytes: usize,
+}
+
 /// A PRSim engine over an evolving edge set.
 pub struct DynamicPrsim {
     delta: DeltaGraph,
@@ -133,6 +187,11 @@ pub struct DynamicPrsim {
     engine: Option<Prsim>,
     /// Per-hub touched sets (incremental mode only).
     touch: HubTouchSets,
+    /// The repair workers' workspaces and run buffers, kept across
+    /// updates.
+    scratch: RepairScratch,
+    /// The π refinement's vectors, kept across updates.
+    refine: RefineScratch,
     /// Accumulated L1 π-drift since the last full (re)build.
     drift: f64,
     /// Buffered updates since the last rebuild (rebuild mode).
@@ -164,6 +223,8 @@ impl DynamicPrsim {
             mode,
             engine: None,
             touch: HubTouchSets::default(),
+            scratch: RepairScratch::new(),
+            refine: RefineScratch::default(),
             drift: 0.0,
             pending: 1, // forces the lazy initial build in rebuild mode
             totals: DynamicTotals::default(),
@@ -309,24 +370,27 @@ impl DynamicPrsim {
             stats.repair_fraction = dirty.len() as f64 / stats.hub_count as f64;
         }
 
-        let compactions_before = self.delta.compactions();
-        let snapshot = self.delta.snapshot();
-        stats.compacted = self.delta.compactions() > compactions_before;
-
-        let (_, mut pi, mut index, config, mut cache) = self
+        // The new snapshot is merged into the previous engine graph's
+        // buffers: nothing but the stored searches read that graph, and
+        // the dirty plan above has already consulted it.
+        let (mut snapshot, mut pi, mut index, config, mut cache) = self
             .engine
             .take()
             .expect("incremental engine is always built")
             .into_parts();
+        let compactions_before = self.delta.compactions();
+        self.delta.snapshot_into(&mut snapshot);
+        stats.compacted = self.delta.compactions() > compactions_before;
         let n = snapshot.node_count();
         index.ensure_nodes(n);
 
-        let outcome = refine_reverse_pagerank(
+        let outcome = refine_reverse_pagerank_with(
             &snapshot,
             config.sqrt_c(),
             params.pr_tol,
             params.pr_max_iter,
             &mut pi,
+            &mut self.refine,
         );
         stats.pr_iterations = outcome.iterations;
         self.drift += outcome.l1_change;
@@ -342,7 +406,7 @@ impl DynamicPrsim {
         } else {
             if !dirty.is_empty() {
                 let compactions_before = index.stats().compactions;
-                index.repair_hubs(
+                index.repair_hubs_with(
                     &snapshot,
                     &dirty,
                     &mut self.touch,
@@ -350,6 +414,7 @@ impl DynamicPrsim {
                     config.r_max(),
                     config.max_level,
                     config.build_threads,
+                    &mut self.scratch,
                 );
                 let compacted = index.stats().compactions - compactions_before;
                 stats.index_compacted = compacted > 0;
@@ -399,7 +464,7 @@ impl DynamicPrsim {
             self.config.eps,
         );
         let hubs: Vec<NodeId> = rank_by_pagerank(pi).into_iter().take(j0).collect();
-        let (index, touch) = PrsimIndex::build_tracked_with(
+        let (index, touch) = PrsimIndex::build_tracked_in(
             snapshot,
             hubs,
             self.config.sqrt_c(),
@@ -407,6 +472,7 @@ impl DynamicPrsim {
             self.config.max_level,
             self.config.build_threads,
             self.config.reserve_precision,
+            &mut self.scratch,
         );
         self.touch = touch;
         self.drift = 0.0;
@@ -469,6 +535,24 @@ impl DynamicPrsim {
     /// against (empty in rebuild mode).
     pub fn touch_sets(&self) -> &HubTouchSets {
         &self.touch
+    }
+
+    /// What the engine holds in memory, by component (see
+    /// [`MemoryStats`]). Cheap: it reads capacities, `O(j₀)` work.
+    pub fn memory(&self) -> MemoryStats {
+        let (arena, graph_bytes) = self.engine.as_ref().map_or_else(
+            || (crate::index::ArenaMemory::default(), 0),
+            |e| (e.index().arena_memory(), e.graph().capacity_bytes()),
+        );
+        MemoryStats {
+            touch_bytes: self.touch.capacity_bytes(),
+            update_scratch_bytes: self.scratch.capacity_bytes() + self.refine.capacity_bytes(),
+            arena_live_bytes: arena.live_bytes,
+            arena_dead_bytes: arena.dead_bytes,
+            arena_bytes: arena.capacity_bytes,
+            graph_bytes,
+            delta_bytes: self.delta.capacity_bytes(),
+        }
     }
 
     /// Demotes the engine's postings arena to a paged on-disk file under

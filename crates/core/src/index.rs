@@ -32,9 +32,17 @@
 //! postings: a repaired hub's old run is *tombstoned* (its entries counted
 //! in `dead_entries`) and the fresh run is appended at the arena tail,
 //! with the hub's slot repointed. Once dead entries (or dead offset
-//! slots) outnumber live ones the arena is compacted in rank order — the
-//! same amortized-threshold pattern as [`prsim_graph::delta::DeltaGraph`]
-//! — so space stays `O(live)` and per-repair cost stays amortized `O(run)`.
+//! slots) outnumber live ones the arena is compacted — the same
+//! amortized-threshold pattern as [`prsim_graph::delta::DeltaGraph`] —
+//! so space stays `O(live)` and per-repair cost stays amortized `O(run)`.
+//! Compaction is in place: live runs slide down over the tombstones in
+//! physical order, inside capacity the arena reserved when it first grew
+//! (room for the live data plus as many tombstones), so a repaired index
+//! reaches a steady state with no allocation at all. Physical run order
+//! is therefore append order, not rank order; nothing depends on it,
+//! since every reader goes through the offset table and serialization
+//! walks ranks. A paged arena applies the same rule to its resident
+//! overlay and leaves its base runs in the page file.
 //!
 //! **Reserve precision**: [`ReservePrecision::F32`] stores ψ quantized to
 //! `f32`, shrinking the arena by a third and keeping it cache-resident
@@ -54,19 +62,23 @@
 //! Hub construction is embarrassingly parallel (one backward search per
 //! hub); [`PrsimIndex::build`] fans the searches out over
 //! `build_threads` workers, each running its searches on one reused
-//! [`crate::backward::BackwardWorkspace`]. Only the tracked builds
+//! [`crate::backward::BackwardWorkspace`] and staging one hub's run at a
+//! time (`RepairScratch`). Only the tracked builds
 //! ([`PrsimIndex::build_tracked`], for indexes the dynamic engine
 //! repairs) record the per-hub touched sets, which run to millions of
-//! entries at n = 100k; an index that is never repaired skips them.
+//! entries at n = 100k (8 bytes each, see [`HubTouchSets`]); an index
+//! that is never repaired skips them.
 
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+use prsim_graph::mem::copy_reusing;
 use prsim_graph::{DiGraph, NodeId};
 use prsim_storage::Storage;
 
-use crate::backward::{backward_search, BackwardWorkspace};
+use crate::backward::{search_into, BackwardWorkspace, SearchSink, TouchEntry};
 use crate::paging::pagefile;
 use crate::paging::pool::BufferPool;
 use crate::paging::{PagedOptions, PagingStats, PostingsScratch};
@@ -87,20 +99,227 @@ const NOT_A_HUB: u32 = u32::MAX;
 /// (avoids rewrite thrash on tiny indexes).
 const COMPACT_MIN_DEAD: usize = 256;
 
-/// Per-hub backward-search result: `lists[level]` = `(v, ψ_ℓ(v, hub))`.
-type HubLists = Vec<Vec<(NodeId, f64)>>;
+/// One hub's touched record: [`TouchEntry`]s sorted by node.
+type TouchRecord = Vec<TouchEntry>;
 
-/// One hub's touched record: sorted `(node, max residue over levels)`.
-type TouchRecord = Vec<(NodeId, f64)>;
+/// Free slots a refilled or full touched record gets beyond its entries:
+/// enough that the inserts clean updates make into it do not reallocate
+/// it until the hub is next re-searched (a refill restores the slack).
+fn record_headroom(len: usize) -> usize {
+    len / 32 + 64
+}
 
-/// The per-search knobs [`PrsimIndex::search_many`] hands every worker.
+/// The bound `record` holds for node `v` (0.0 when untouched).
+fn bound_in(record: &TouchRecord, v: NodeId) -> f64 {
+    record
+        .binary_search_by_key(&v, |e| e.node)
+        .map_or(0.0, |i| f64::from(record[i].bound))
+}
+
+/// Locks a mutex shared by the search workers. A worker that panicked
+/// while holding one left the index or a record half-written, and the
+/// build or repair panics when the workers are joined anyway.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock()
+        .expect("a search worker panicked mid-update of the index")
+}
+
+/// The per-search knobs [`search_hubs`] hands every worker.
 #[derive(Clone, Copy, Debug)]
 struct SearchParams {
     sqrt_c: f64,
     r_max: f64,
     max_level: usize,
-    /// Whether to record the touched sets (repairable indexes only).
-    track_touched: bool,
+}
+
+/// The stored reserve lists of one hub search, flattened: level `ℓ`'s
+/// postings are `[level_ends[ℓ−1], level_ends[ℓ])` of `nodes`/`psi`.
+#[derive(Clone, Debug, Default)]
+struct RunBuf {
+    nodes: Vec<NodeId>,
+    psi: Vec<f64>,
+    level_ends: Vec<u32>,
+}
+
+impl RunBuf {
+    fn clear(&mut self) {
+        self.nodes.clear();
+        self.psi.clear();
+        self.level_ends.clear();
+    }
+
+    fn capacity_bytes(&self) -> usize {
+        self.nodes.capacity() * 4 + self.psi.capacity() * 8 + self.level_ends.capacity() * 4
+    }
+}
+
+/// Streams a search into a [`RunBuf`] (keeping reserves above `r_max`,
+/// the index's storage rule) and, when tracked, refills the hub's
+/// touched record in place.
+struct RunSink<'a> {
+    run: &'a mut RunBuf,
+    r_max: f64,
+    record: Option<&'a mut TouchRecord>,
+}
+
+impl SearchSink for RunSink<'_> {
+    fn reserve(&mut self, v: NodeId, psi: f64) {
+        if psi > self.r_max {
+            self.run.nodes.push(v);
+            self.run.psi.push(psi);
+        }
+    }
+
+    fn end_level(&mut self) {
+        self.run.level_ends.push(self.run.nodes.len() as u32);
+    }
+
+    fn tracks_touched(&self) -> bool {
+        self.record.is_some()
+    }
+
+    fn begin_touched(&mut self, count: usize) {
+        if let Some(record) = self.record.as_deref_mut() {
+            record.clear();
+            // Keep at least half the headroom free after the refill.
+            if record.capacity() < count + record_headroom(count) / 2 {
+                record.reserve_exact(count + record_headroom(count));
+            }
+        }
+    }
+
+    fn touched(&mut self, v: NodeId, max_residue: f64) {
+        if let Some(record) = self.record.as_deref_mut() {
+            record.push(TouchEntry::new(v, max_residue));
+        }
+    }
+}
+
+/// One search worker's reusable state: its backward-search workspace
+/// and the buffer its current hub's run is staged in.
+#[derive(Clone, Debug, Default)]
+struct SearchWorker {
+    ws: BackwardWorkspace,
+    run: RunBuf,
+}
+
+/// Reusable state of the hub searches behind index builds and repairs:
+/// one [`BackwardWorkspace`] and one run buffer per worker. The dynamic
+/// engine keeps one across updates ([`PrsimIndex::repair_hubs_with`]),
+/// so that after warm-up a repair allocates nothing: workspaces are sized
+/// to the graph, run buffers to the index's largest run, and touched
+/// records are refilled in place.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct RepairScratch {
+    workers: Vec<SearchWorker>,
+}
+
+impl RepairScratch {
+    /// An empty scratch; workers are added and sized on first use.
+    pub(crate) fn new() -> Self {
+        Self::default()
+    }
+
+    /// Bytes held by the workers' workspaces and run buffers, counted
+    /// from capacities (memory accounting).
+    pub(crate) fn capacity_bytes(&self) -> usize {
+        self.workers
+            .iter()
+            .map(|w| w.ws.capacity_bytes() + w.run.capacity_bytes())
+            .sum()
+    }
+
+    /// Makes `workers` workers available, each able to stage a run of
+    /// `max_run` postings over `levels` levels without growing. A buffer
+    /// that must grow gets 1/8 of slack, so the largest run creeping up
+    /// an entry at a time does not regrow it on every repair.
+    fn prepare(&mut self, workers: usize, max_run: usize, levels: usize) {
+        if self.workers.len() < workers {
+            self.workers.resize_with(workers, SearchWorker::default);
+        }
+        let room = max_run + max_run / 8 + 64;
+        for w in &mut self.workers[..workers] {
+            w.run.clear();
+            if w.run.nodes.capacity() < max_run {
+                w.run.nodes.reserve_exact(room);
+                w.run.psi.reserve_exact(room);
+            }
+            if w.run.level_ends.capacity() < levels {
+                w.run.level_ends.reserve_exact(levels);
+            }
+        }
+    }
+}
+
+/// Runs the backward searches of `jobs` (`(rank, hub node)` pairs) over
+/// up to `threads` workers from `scratch`, handing each finished run to
+/// `emit(rank, run)`. With `records`, job `i`'s touched record is
+/// refilled into `records[i]`. Runs reach `emit` in completion order,
+/// which varies with scheduling; every run and record is a function of
+/// its hub alone. `max_run` sizes the workers' run buffers.
+#[allow(clippy::too_many_arguments)] // the search knobs plus their sinks
+fn search_hubs<F>(
+    g: &DiGraph,
+    jobs: &[(usize, NodeId)],
+    params: SearchParams,
+    threads: usize,
+    scratch: &mut RepairScratch,
+    max_run: usize,
+    records: Option<Vec<&mut TouchRecord>>,
+    emit: F,
+) where
+    F: Fn(usize, &RunBuf) + Sync,
+{
+    let threads = threads.max(1).min(jobs.len().max(1));
+    let workers = if threads <= 1 || jobs.len() < 4 {
+        1
+    } else {
+        threads
+    };
+    scratch.prepare(workers, max_run, params.max_level + 2);
+    let records: Option<Vec<Mutex<&mut TouchRecord>>> =
+        records.map(|r| r.into_iter().map(Mutex::new).collect());
+    let run_job = |worker: &mut SearchWorker, i: usize| {
+        let (rank, w) = jobs[i];
+        let mut guard = records.as_ref().map(|r| lock(&r[i]));
+        worker.run.clear();
+        let mut sink = RunSink {
+            run: &mut worker.run,
+            r_max: params.r_max,
+            record: guard.as_mut().map(|g| &mut ***g),
+        };
+        search_into(
+            g,
+            &mut worker.ws,
+            params.sqrt_c,
+            w,
+            params.r_max,
+            params.max_level,
+            &mut sink,
+        );
+        drop(guard);
+        emit(rank, &worker.run);
+    };
+    if workers == 1 {
+        let worker = &mut scratch.workers[0];
+        for i in 0..jobs.len() {
+            run_job(worker, i);
+        }
+        return;
+    }
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for worker in &mut scratch.workers[..workers] {
+            let (next, run_job) = (&next, &run_job);
+            scope.spawn(move || loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= jobs.len() {
+                    break;
+                }
+                run_job(worker, i);
+            });
+        }
+    });
 }
 
 /// Storage width of the arena's reserve values.
@@ -113,11 +332,39 @@ pub enum ReservePrecision {
     F32,
 }
 
+/// Evaluates `$body` with `$v` bound to the reserve arena's vector,
+/// whichever its precision (for the operations that do not care).
+macro_rules! on_vec {
+    ($arena:expr, $v:ident => $body:expr) => {
+        match $arena {
+            ReserveArena::F64($v) => $body,
+            ReserveArena::F32($v) => $body,
+        }
+    };
+}
+
 /// The reserve value array backing the arena, in either precision.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 enum ReserveArena {
     F64(Vec<f64>),
     F32(Vec<f32>),
+}
+
+impl Clone for ReserveArena {
+    fn clone(&self) -> Self {
+        match self {
+            ReserveArena::F64(v) => ReserveArena::F64(v.clone()),
+            ReserveArena::F32(v) => ReserveArena::F32(v.clone()),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        match (self, source) {
+            (ReserveArena::F64(dst), ReserveArena::F64(src)) => copy_reusing(dst, src),
+            (ReserveArena::F32(dst), ReserveArena::F32(src)) => copy_reusing(dst, src),
+            (dst, src) => *dst = src.clone(),
+        }
+    }
 }
 
 impl ReserveArena {
@@ -135,6 +382,14 @@ impl ReserveArena {
         }
     }
 
+    /// Bytes per stored reserve.
+    fn width(&self) -> usize {
+        match self {
+            ReserveArena::F64(_) => 8,
+            ReserveArena::F32(_) => 4,
+        }
+    }
+
     /// Appends a reserve, quantizing when the arena is f32.
     #[inline]
     fn push(&mut self, psi: f64) {
@@ -144,21 +399,31 @@ impl ReserveArena {
         }
     }
 
-    /// Copies `[start, end)` of `src` onto the end of `self` (compaction
-    /// helper; both sides always share a precision).
-    fn extend_from_range(&mut self, src: &ReserveArena, start: usize, end: usize) {
-        match (self, src) {
-            (ReserveArena::F64(dst), ReserveArena::F64(s)) => dst.extend_from_slice(&s[start..end]),
-            (ReserveArena::F32(dst), ReserveArena::F32(s)) => dst.extend_from_slice(&s[start..end]),
-            _ => unreachable!("compaction never changes precision"),
+    /// Appends full-precision reserves, quantizing when the arena is f32.
+    fn extend_from_f64(&mut self, psi: &[f64]) {
+        match self {
+            ReserveArena::F64(v) => v.extend_from_slice(psi),
+            ReserveArena::F32(v) => v.extend(psi.iter().map(|&x| x as f32)),
         }
     }
 
     fn payload_bytes(&self) -> usize {
-        match self {
-            ReserveArena::F64(v) => v.len() * 8,
-            ReserveArena::F32(v) => v.len() * 4,
-        }
+        on_vec!(self, v => v.len()) * self.width()
+    }
+}
+
+/// Makes room for `extra` more elements in an arena array holding `live`
+/// live ones. When it must grow, it grows to three times `live` (plus
+/// slack): the compaction rule lets tombstones reach the live count
+/// before it reclaims them, and a repair appends up to one more live
+/// arena's worth of runs before the rule is checked. So a repaired arena
+/// grows during warm-up and then compacts in place inside the capacity
+/// it has; only the pages a cycle actually writes become resident.
+fn ensure_room<T>(v: &mut Vec<T>, extra: usize, live: usize) {
+    let need = v.len() + extra;
+    if v.capacity() < need {
+        let target = need.max(3 * live + live / 8 + extra + 2 * COMPACT_MIN_DEAD);
+        v.reserve_exact(target - v.len());
     }
 }
 
@@ -258,10 +523,11 @@ struct HubSlot {
 
 /// Per-hub *touched records*: for each hub rank, a sorted
 /// `(node, residue bound)` list where the bound dominates the node's max
-/// residue over all levels of that hub's backward search (exact right
-/// after a search — see
-/// [`crate::backward::BackwardSearchResult::touched`] — and maintained as
-/// a sound upper bound across clean updates).
+/// residue over all levels of that hub's backward search (the search's
+/// exact value rounded up to `f32` right after a search — see
+/// [`crate::backward::BackwardSearchResult::touched`] and
+/// [`TouchEntry`] — and maintained as a sound upper bound across clean
+/// updates).
 ///
 /// The records drive the dirty filter of [`HubTouchSets::plan_update`].
 /// An edge update `(a, b)` perturbs **only `b`'s residues**: the divisor
@@ -274,11 +540,16 @@ struct HubSlot {
 /// insertion; deletion only lowers `b` below its rescaled bound); clean
 /// hubs keep byte-identical reserve lists and have `b`'s record replaced
 /// by the new bound, which keeps the records sound across arbitrarily
-/// long update streams without re-searching.
+/// long update streams without re-searching. Every step is monotone in
+/// the stored bounds, so bounds rounded up stay sound.
+///
+/// Records are 8 bytes per entry and carry headroom: a clean hub's new
+/// entry lands in spare capacity, and a re-searched hub's record is
+/// refilled in place.
 #[derive(Clone, Debug, Default)]
 pub struct HubTouchSets {
     /// `per_hub[rank]` = sorted `(node, residue bound)` of that hub's search.
-    per_hub: Vec<Vec<(NodeId, f64)>>,
+    per_hub: Vec<TouchRecord>,
 }
 
 impl HubTouchSets {
@@ -293,15 +564,21 @@ impl HubTouchSets {
         self.per_hub.iter().map(Vec::len).sum()
     }
 
+    /// Total entries the records have room for (entries plus headroom).
+    pub fn capacity(&self) -> usize {
+        self.per_hub.iter().map(Vec::capacity).sum()
+    }
+
+    /// Bytes the records hold allocated: 8 per entry of capacity.
+    pub fn capacity_bytes(&self) -> usize {
+        self.capacity() * std::mem::size_of::<TouchEntry>()
+    }
+
     /// The residue bound hub `rank`'s records hold for node `v` (0.0 when
     /// untouched).
     #[inline]
     pub fn max_residue(&self, rank: usize, v: NodeId) -> f64 {
-        self.per_hub[rank]
-            .binary_search_by_key(&v, |&(x, _)| x)
-            .ok()
-            .map(|i| self.per_hub[rank][i].1)
-            .unwrap_or(0.0)
+        bound_in(&self.per_hub[rank], v)
     }
 
     /// Whether hub `rank`'s search touched node `v` at all.
@@ -313,7 +590,8 @@ impl HubTouchSets {
     /// Classifies edge update `(a, b)` against every hub and returns the
     /// ranks that must be re-searched; clean hubs have `b`'s record
     /// replaced by the new residue bound (rescaled inflows plus, on
-    /// insertion, the bound of the flow newly arriving from `a`).
+    /// insertion, the bound of the flow newly arriving from `a`),
+    /// rounded up to `f32`.
     ///
     /// `old_in_degree_b` is `d_in(b)` in the graph the stored searches
     /// were run on (0 when `b` is a brand-new node); `sqrt_c`/`r_max` are
@@ -330,16 +608,12 @@ impl HubTouchSets {
         let k = old_in_degree_b as f64;
         let mut dirty = Vec::new();
         for (rank, recs) in self.per_hub.iter_mut().enumerate() {
-            let rb_slot = recs.binary_search_by_key(&b, |&(x, _)| x);
-            let rb = rb_slot.map(|i| recs[i].1).unwrap_or(0.0);
+            let rb_slot = recs.binary_search_by_key(&b, |e| e.node);
+            let rb = bound_in(recs, b);
             // All of b's inflows share the divisor d_in(b): k -> k±1; on
             // insertion a's pushes additionally send at most √c·r_a/(k+1).
             let new_bound = if is_insert {
-                let ra = recs
-                    .binary_search_by_key(&a, |&(x, _)| x)
-                    .ok()
-                    .map(|i| recs[i].1)
-                    .unwrap_or(0.0);
+                let ra = bound_in(recs, a);
                 (rb * k + sqrt_c * ra) / (k + 1.0)
             } else if old_in_degree_b <= 1 {
                 0.0 // b loses its last in-edge: every inflow dies
@@ -350,8 +624,13 @@ impl HubTouchSets {
                 dirty.push(rank);
             } else {
                 match rb_slot {
-                    Ok(i) => recs[i].1 = new_bound,
-                    Err(i) if new_bound > 0.0 => recs.insert(i, (b, new_bound)),
+                    Ok(i) => recs[i] = TouchEntry::new(b, new_bound),
+                    Err(i) if new_bound > 0.0 => {
+                        if recs.len() == recs.capacity() {
+                            recs.reserve_exact(record_headroom(recs.len()));
+                        }
+                        recs.insert(i, TouchEntry::new(b, new_bound));
+                    }
                     Err(_) => {}
                 }
             }
@@ -377,7 +656,7 @@ struct PagedArena {
 
 /// The hub index: a flat postings arena behind a CSR offset table (see
 /// the module docs for the layout).
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct PrsimIndex {
     /// Hub node ids in descending reverse-PageRank order.
     hubs: Vec<NodeId>,
@@ -395,12 +674,64 @@ pub struct PrsimIndex {
     reserves: ReserveArena,
     /// Tombstoned postings entries (superseded by repairs).
     dead_entries: usize,
+    /// The part of `dead_entries` in a paged arena's page file (they stay
+    /// on disk; the rest are resident tombstones).
+    dead_base: usize,
     /// Tombstoned offset-table slots.
     dead_bounds: usize,
     /// Arena compactions performed.
     compactions: usize,
     /// Present when the base arena lives out of core.
     paged: Option<PagedArena>,
+}
+
+impl Clone for PrsimIndex {
+    fn clone(&self) -> Self {
+        PrsimIndex {
+            hubs: self.hubs.clone(),
+            hub_pos: self.hub_pos.clone(),
+            slots: self.slots.clone(),
+            bounds: self.bounds.clone(),
+            nodes: self.nodes.clone(),
+            reserves: self.reserves.clone(),
+            dead_entries: self.dead_entries,
+            dead_base: self.dead_base,
+            dead_bounds: self.dead_bounds,
+            compactions: self.compactions,
+            paged: self.paged.clone(),
+        }
+    }
+
+    /// Copies `source` into `self`'s existing buffers
+    /// ([`copy_reusing`]): an epoch snapshot refreshed from the live
+    /// index allocates nothing once it has the live arena's capacity.
+    fn clone_from(&mut self, source: &Self) {
+        copy_reusing(&mut self.hubs, &source.hubs);
+        copy_reusing(&mut self.hub_pos, &source.hub_pos);
+        copy_reusing(&mut self.slots, &source.slots);
+        copy_reusing(&mut self.bounds, &source.bounds);
+        copy_reusing(&mut self.nodes, &source.nodes);
+        self.reserves.clone_from(&source.reserves);
+        self.dead_entries = source.dead_entries;
+        self.dead_base = source.dead_base;
+        self.dead_bounds = source.dead_bounds;
+        self.compactions = source.compactions;
+        self.paged.clone_from(&source.paged);
+    }
+}
+
+/// Bytes of an index's in-memory postings arena (memory accounting). For
+/// a paged arena these cover the resident overlay only; the page file's
+/// frames are counted by [`PagingStats`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ArenaMemory {
+    /// Live resident postings (node id plus reserve per entry).
+    pub live_bytes: usize,
+    /// Tombstoned resident postings awaiting compaction.
+    pub dead_bytes: usize,
+    /// Everything the arena and its tables hold allocated, counted from
+    /// capacities (at least `live_bytes + dead_bytes`).
+    pub capacity_bytes: usize,
 }
 
 /// Equality is *logical*: same hubs, same node universe, same precision
@@ -488,9 +819,9 @@ impl PrsimIndex {
             sqrt_c,
             r_max,
             max_level,
-            track_touched: false,
         };
-        Self::assemble(g, hubs, params, build_threads, precision).0
+        let scratch = &mut RepairScratch::new();
+        Self::assemble(g, hubs, params, build_threads, precision, scratch, false).0
     }
 
     /// [`PrsimIndex::build`], additionally returning the per-hub touched
@@ -526,83 +857,132 @@ impl PrsimIndex {
         build_threads: usize,
         precision: ReservePrecision,
     ) -> (Self, HubTouchSets) {
+        Self::build_tracked_in(
+            g,
+            hubs,
+            sqrt_c,
+            r_max,
+            max_level,
+            build_threads,
+            precision,
+            &mut RepairScratch::new(),
+        )
+    }
+
+    /// [`PrsimIndex::build_tracked_with`] on caller-held search scratch
+    /// (the dynamic engine's, so a drift rebuild reuses its workspaces).
+    #[allow(clippy::too_many_arguments)] // the build knobs are the config
+    pub(crate) fn build_tracked_in(
+        g: &DiGraph,
+        hubs: Vec<NodeId>,
+        sqrt_c: f64,
+        r_max: f64,
+        max_level: usize,
+        build_threads: usize,
+        precision: ReservePrecision,
+        scratch: &mut RepairScratch,
+    ) -> (Self, HubTouchSets) {
         let params = SearchParams {
             sqrt_c,
             r_max,
             max_level,
-            track_touched: true,
         };
-        Self::assemble(g, hubs, params, build_threads, precision)
+        Self::assemble(g, hubs, params, build_threads, precision, scratch, true)
     }
 
-    /// Runs every hub's search and assembles the arena in one counting
-    /// pass over the output: entry totals are counted first, the arrays
-    /// reserved exactly, then filled in rank order. The touched sets are
-    /// empty unless `params.track_touched`.
+    /// Runs every hub's search and appends each run to the arena as it
+    /// finishes (the physical order of runs is free: every reader goes
+    /// through the offset table, and serialization walks ranks). The
+    /// touched sets are empty unless `tracked`. A tracked index keeps the
+    /// arena's growth headroom for the repairs to come; an untracked one
+    /// is trimmed to its size.
     fn assemble(
         g: &DiGraph,
         hubs: Vec<NodeId>,
         params: SearchParams,
         build_threads: usize,
         precision: ReservePrecision,
+        scratch: &mut RepairScratch,
+        tracked: bool,
     ) -> (Self, HubTouchSets) {
         let n = g.node_count();
         let mut hub_pos = vec![NOT_A_HUB; n];
         for (rank, &w) in hubs.iter().enumerate() {
             hub_pos[w as usize] = rank as u32;
         }
-
-        let searched = Self::search_many(g, &hubs, params, build_threads);
-        let total_entries: usize = searched
-            .iter()
-            .map(|(lists, _)| lists.iter().map(Vec::len).sum::<usize>())
-            .sum();
-        let total_bounds: usize = searched.iter().map(|(lists, _)| lists.len() + 1).sum();
-
+        let jobs: Vec<(usize, NodeId)> = hubs.iter().copied().enumerate().collect();
         let mut index = PrsimIndex {
+            slots: vec![
+                HubSlot {
+                    bounds_start: 0,
+                    levels: 0
+                };
+                hubs.len()
+            ],
             hubs,
             hub_pos,
-            slots: Vec::with_capacity(searched.len()),
-            bounds: Vec::with_capacity(total_bounds),
-            nodes: Vec::with_capacity(total_entries),
-            reserves: ReserveArena::with_capacity(precision, total_entries),
+            bounds: Vec::new(),
+            nodes: Vec::new(),
+            reserves: ReserveArena::with_capacity(precision, 0),
             dead_entries: 0,
+            dead_base: 0,
             dead_bounds: 0,
             compactions: 0,
             paged: None,
         };
-        let mut touched = Vec::new();
-        for (lists, t) in searched {
-            let slot = index.append_run(&lists);
-            index.slots.push(slot);
-            if params.track_touched {
-                touched.push(t);
-            }
+        let mut touch = HubTouchSets::default();
+        if tracked {
+            touch.per_hub.resize_with(jobs.len(), Vec::new);
         }
-
-        (index, HubTouchSets { per_hub: touched })
+        let records = tracked.then(|| touch.per_hub.iter_mut().collect());
+        {
+            let shared = Mutex::new(&mut index);
+            search_hubs(
+                g,
+                &jobs,
+                params,
+                build_threads,
+                scratch,
+                0,
+                records,
+                |rank, run| {
+                    let mut index = lock(&shared);
+                    index.slots[rank] = index.append_run(run);
+                },
+            );
+        }
+        if !tracked {
+            index.bounds.shrink_to_fit();
+            index.nodes.shrink_to_fit();
+            on_vec!(&mut index.reserves, v => v.shrink_to_fit());
+        }
+        (index, touch)
     }
 
-    /// Appends one hub's level lists at the arena tail and returns the
-    /// slot describing the new run.
-    fn append_run(&mut self, lists: &HubLists) -> HubSlot {
+    /// Appends one hub's staged run at the arena tail and returns the slot
+    /// describing it, growing the arrays by [`ensure_room`] when full.
+    fn append_run(&mut self, run: &RunBuf) -> HubSlot {
+        let live = self.nodes.len() - self.resident_dead();
+        ensure_room(&mut self.nodes, run.nodes.len(), live);
+        on_vec!(&mut self.reserves, v => ensure_room(v, run.psi.len(), live));
+        let levels = run.level_ends.len();
+        let live_bounds = self.bounds.len() - self.dead_bounds;
+        ensure_room(&mut self.bounds, levels + 1, live_bounds);
+
         let bounds_start =
             u32::try_from(self.bounds.len()).expect("offset table exceeds u32 range");
         // Offsets are global: overlay entries of a paged arena start after
         // the page file's base region.
-        let base = self.arena_base();
+        let start = self.arena_base() + self.nodes.len();
         let post = |len: usize| u32::try_from(len).expect("postings arena exceeds u32 range");
-        self.bounds.push(post(base + self.nodes.len()));
-        for level in lists {
-            for &(v, psi) in level {
-                self.nodes.push(v);
-                self.reserves.push(psi);
-            }
-            self.bounds.push(post(base + self.nodes.len()));
-        }
+        self.bounds.push(post(start));
+        self.bounds
+            .extend(run.level_ends.iter().map(|&end| post(start + end as usize)));
+        self.nodes.extend_from_slice(&run.nodes);
+        self.reserves.extend_from_f64(&run.psi);
         HubSlot {
             bounds_start,
-            levels: lists.len() as u32,
+            levels: levels as u32,
         }
     }
 
@@ -614,66 +994,24 @@ impl PrsimIndex {
         self.paged.as_ref().map_or(0, |p| p.base_entries as usize)
     }
 
-    /// Runs the backward searches for `hubs` (any node list) over
-    /// `threads` workers, each with its own [`BackwardWorkspace`],
-    /// returning per-hub filtered reserve lists and touched sets (empty
-    /// unless tracked) in input order.
-    fn search_many(
-        g: &DiGraph,
-        hubs: &[NodeId],
-        params: SearchParams,
-        threads: usize,
-    ) -> Vec<(HubLists, TouchRecord)> {
-        let threads = threads.max(1).min(hubs.len().max(1));
-        if threads <= 1 || hubs.len() < 4 {
-            let mut ws = BackwardWorkspace::new();
-            return hubs
-                .iter()
-                .map(|&w| Self::search_one(g, &mut ws, w, params))
-                .collect();
-        }
-        let mut slots: Vec<Option<(HubLists, TouchRecord)>> = vec![None; hubs.len()];
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let slots_mutex = std::sync::Mutex::new(&mut slots);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    let mut ws = BackwardWorkspace::new();
-                    loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= hubs.len() {
-                            break;
-                        }
-                        let result = Self::search_one(g, &mut ws, hubs[i], params);
-                        slots_mutex.lock().expect("no panics hold this lock")[i] = Some(result);
-                    }
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|s| s.expect("all hubs processed"))
-            .collect()
+    /// Tombstoned entries held in memory (all of them for a resident
+    /// arena, the overlay's for a paged one).
+    #[inline]
+    fn resident_dead(&self) -> usize {
+        self.dead_entries - self.dead_base
     }
 
-    fn search_one(
-        g: &DiGraph,
-        ws: &mut BackwardWorkspace,
-        w: NodeId,
-        p: SearchParams,
-    ) -> (HubLists, TouchRecord) {
-        let res = backward_search(g, ws, p.sqrt_c, w, p.r_max, p.max_level, p.track_touched);
-        let lists = res
-            .levels
-            .into_iter()
-            .map(|level| {
-                level
-                    .into_iter()
-                    .filter(|&(_, psi)| psi > p.r_max)
-                    .collect()
+    /// Postings in the largest live run (sizes the repair workers' run
+    /// buffers).
+    fn max_run_entries(&self) -> usize {
+        self.slots
+            .iter()
+            .map(|slot| {
+                let b = slot.bounds_start as usize;
+                (self.bounds[b + slot.levels as usize] - self.bounds[b]) as usize
             })
-            .collect();
-        (lists, res.touched)
+            .max()
+            .unwrap_or(0)
     }
 
     /// Extends the node universe to `n` (new nodes are non-hubs). Called
@@ -684,9 +1022,9 @@ impl PrsimIndex {
         }
     }
 
-    /// Re-runs the backward searches of the hubs at `ranks` against the
-    /// (mutated) graph `g`, replacing their postings runs in place and
-    /// updating their entries in `touch`. Repairs fan out over `threads`
+    /// Re-runs the backward searches of the hubs at `ranks` (distinct)
+    /// against the (mutated) graph `g`, replacing their postings runs and
+    /// refilling their records in `touch`. Repairs fan out over `threads`
     /// workers like the build. Only the dirty hubs' runs are rewritten:
     /// the old runs are tombstoned and fresh ones appended at the arena
     /// tail, with amortized compaction once tombstones outnumber live
@@ -702,75 +1040,152 @@ impl PrsimIndex {
         max_level: usize,
         threads: usize,
     ) {
-        let nodes: Vec<NodeId> = ranks.iter().map(|&r| self.hubs[r]).collect();
+        let scratch = &mut RepairScratch::new();
+        self.repair_hubs_with(g, ranks, touch, sqrt_c, r_max, max_level, threads, scratch);
+    }
+
+    /// [`PrsimIndex::repair_hubs`] on caller-held search scratch. After
+    /// warm-up it allocates nothing: the workers' workspaces and run
+    /// buffers are reused, each dirty hub's record is refilled in place,
+    /// and the arena has the room a compaction cycle needs.
+    #[allow(clippy::too_many_arguments)] // mirrors build_tracked's signature
+    pub(crate) fn repair_hubs_with(
+        &mut self,
+        g: &DiGraph,
+        ranks: &[usize],
+        touch: &mut HubTouchSets,
+        sqrt_c: f64,
+        r_max: f64,
+        max_level: usize,
+        threads: usize,
+        scratch: &mut RepairScratch,
+    ) {
         let params = SearchParams {
             sqrt_c,
             r_max,
             max_level,
-            track_touched: true,
         };
-        let repaired = Self::search_many(g, &nodes, params, threads);
-        for (&rank, (lists, touched)) in ranks.iter().zip(repaired) {
-            let old = self.slots[rank];
-            let (start, end) = (
-                self.bounds[old.bounds_start as usize] as usize,
-                self.bounds[(old.bounds_start + old.levels) as usize] as usize,
+        let jobs: Vec<(usize, NodeId)> = ranks.iter().map(|&r| (r, self.hubs[r])).collect();
+        let mut by_rank: Vec<Option<&mut TouchRecord>> =
+            touch.per_hub.iter_mut().map(Some).collect();
+        let records = ranks
+            .iter()
+            .map(|&r| by_rank[r].take().expect("repair ranks are distinct"))
+            .collect();
+        let max_run = self.max_run_entries();
+        {
+            let shared = Mutex::new(&mut *self);
+            search_hubs(
+                g,
+                &jobs,
+                params,
+                threads,
+                scratch,
+                max_run,
+                Some(records),
+                |rank, run| lock(&shared).replace_run(rank, run),
             );
-            self.dead_entries += end - start;
-            self.dead_bounds += old.levels as usize + 1;
-            self.slots[rank] = self.append_run(&lists);
-            touch.per_hub[rank] = touched;
         }
         if self.needs_compaction() {
             self.compact();
         }
     }
 
-    /// Whether tombstones outnumber live data (the DeltaGraph-style
-    /// amortized threshold).
-    fn needs_compaction(&self) -> bool {
-        if self.paged.is_some() {
-            // Tombstoned base runs live on disk, not in `nodes`; compaction
-            // of a paged arena is a re-demote (`page_out`), decided by the
-            // owner, not an in-place rewrite.
-            return false;
+    /// Tombstones hub `rank`'s current run and appends `run` in its place.
+    fn replace_run(&mut self, rank: usize, run: &RunBuf) {
+        let old = self.slots[rank];
+        let (start, end) = (
+            self.bounds[old.bounds_start as usize] as usize,
+            self.bounds[(old.bounds_start + old.levels) as usize] as usize,
+        );
+        self.dead_entries += end - start;
+        if start < self.arena_base() {
+            self.dead_base += end - start;
         }
-        let live_entries = self.nodes.len() - self.dead_entries;
+        self.dead_bounds += old.levels as usize + 1;
+        self.slots[rank] = self.append_run(run);
+    }
+
+    /// Whether tombstones outnumber live data (the DeltaGraph-style
+    /// amortized threshold). A paged arena applies the rule to its
+    /// resident overlay: tombstoned base runs stay on disk, where only a
+    /// re-demote (`page_out`) reclaims them.
+    fn needs_compaction(&self) -> bool {
+        let dead = self.resident_dead();
+        let live_entries = self.nodes.len() - dead;
         let live_bounds = self.bounds.len() - self.dead_bounds;
-        self.dead_entries >= COMPACT_MIN_DEAD.max(live_entries)
+        dead >= COMPACT_MIN_DEAD.max(live_entries)
             || self.dead_bounds >= COMPACT_MIN_DEAD.max(live_bounds)
     }
 
-    /// Rewrites the arena densely in rank order, dropping all tombstones.
+    /// Drops every resident tombstone in place: live runs slide down over
+    /// the dead ones in physical order (base runs of a paged arena stay
+    /// where they are), then the offset runs do the same. Capacity is
+    /// kept, so the arena's next compaction cycle needs no allocation.
     fn compact(&mut self) {
-        let live_entries = self.nodes.len() - self.dead_entries;
-        let live_bounds = self.bounds.len() - self.dead_bounds;
-        let mut nodes = Vec::with_capacity(live_entries);
-        let mut reserves = ReserveArena::with_capacity(self.reserves.precision(), live_entries);
-        let mut bounds = Vec::with_capacity(live_bounds);
-        let mut slots = Vec::with_capacity(self.slots.len());
-        for &slot in &self.slots {
-            let bounds_start = bounds.len() as u32;
-            bounds.push(nodes.len() as u32);
-            for level in 0..slot.levels as usize {
-                let b = slot.bounds_start as usize + level;
-                let (s, e) = (self.bounds[b] as usize, self.bounds[b + 1] as usize);
-                nodes.extend_from_slice(&self.nodes[s..e]);
-                reserves.extend_from_range(&self.reserves, s, e);
-                bounds.push(nodes.len() as u32);
+        let base = self.arena_base();
+        let mut order: Vec<u32> = (0..self.slots.len() as u32).collect();
+        let run_of = |index: &Self, rank: u32| {
+            let slot = index.slots[rank as usize];
+            let b = slot.bounds_start as usize;
+            (b, b + slot.levels as usize)
+        };
+        order.sort_unstable_by_key(|&r| {
+            let (b0, b1) = run_of(self, r);
+            (self.bounds[b0], self.bounds[b1])
+        });
+        let mut dst = base;
+        for &rank in &order {
+            let (b0, b1) = run_of(self, rank);
+            let (s, e) = (self.bounds[b0] as usize, self.bounds[b1] as usize);
+            if s < base {
+                continue; // a base run: it lives in the page file
             }
-            slots.push(HubSlot {
-                bounds_start,
-                levels: slot.levels,
-            });
+            if s != dst {
+                self.nodes.copy_within(s - base..e - base, dst - base);
+                on_vec!(&mut self.reserves, v => v.copy_within(s - base..e - base, dst - base));
+                let shift = (s - dst) as u32;
+                for b in &mut self.bounds[b0..=b1] {
+                    *b -= shift;
+                }
+            }
+            dst += e - s;
         }
-        self.nodes = nodes;
-        self.reserves = reserves;
-        self.bounds = bounds;
-        self.slots = slots;
-        self.dead_entries = 0;
+        self.nodes.truncate(dst - base);
+        on_vec!(&mut self.reserves, v => v.truncate(dst - base));
+
+        order.sort_unstable_by_key(|&r| self.slots[r as usize].bounds_start);
+        let mut dst = 0usize;
+        for &rank in &order {
+            let slot = &mut self.slots[rank as usize];
+            let (s, len) = (slot.bounds_start as usize, slot.levels as usize + 1);
+            if s != dst {
+                self.bounds.copy_within(s..s + len, dst);
+                slot.bounds_start = dst as u32;
+            }
+            dst += len;
+        }
+        self.bounds.truncate(dst);
+
+        self.dead_entries = self.dead_base;
         self.dead_bounds = 0;
         self.compactions += 1;
+    }
+
+    /// Byte counts of the in-memory arena (memory accounting).
+    pub fn arena_memory(&self) -> ArenaMemory {
+        let width = 4 + self.reserves.width();
+        let dead = self.resident_dead();
+        ArenaMemory {
+            live_bytes: (self.nodes.len() - dead) * width,
+            dead_bytes: dead * width,
+            capacity_bytes: self.nodes.capacity() * 4
+                + on_vec!(&self.reserves, v => v.capacity()) * self.reserves.width()
+                + self.bounds.capacity() * 4
+                + self.slots.capacity() * std::mem::size_of::<HubSlot>()
+                + self.hubs.capacity() * 4
+                + self.hub_pos.capacity() * 4,
+        }
     }
 
     /// Creates an empty (index-free) instance for a graph with `n` nodes.
@@ -783,6 +1198,7 @@ impl PrsimIndex {
             nodes: Vec::new(),
             reserves: ReserveArena::F64(Vec::new()),
             dead_entries: 0,
+            dead_base: 0,
             dead_bounds: 0,
             compactions: 0,
             paged: None,
@@ -1275,6 +1691,7 @@ impl PrsimIndex {
             nodes,
             reserves,
             dead_entries: 0,
+            dead_base: 0,
             dead_bounds: 0,
             compactions: 0,
             paged: None,
@@ -1447,6 +1864,7 @@ impl PrsimIndex {
             nodes: Vec::new(),
             reserves: ReserveArena::with_capacity(precision, 0),
             dead_entries: 0,
+            dead_base: 0,
             dead_bounds: 0,
             compactions: 0,
             paged: Some(PagedArena {
@@ -1645,17 +2063,19 @@ mod tests {
             // The repaired index must equal a from-scratch build exactly:
             // dirty hubs are re-searched and clean hubs are unchanged by
             // construction of the dirty rule.
-            let (fresh, fresh_touch) =
-                PrsimIndex::build_tracked(&snap, hubs.clone(), SQRT_C, r_max, 64, 1);
+            let fresh = PrsimIndex::build(&snap, hubs.clone(), SQRT_C, r_max, 64, 1);
             assert_eq!(idx, fresh, "after edit ({a}, {b}, insert={insert})");
-            // Stored records must dominate the fresh search's residues
-            // (they are maintained as sound upper bounds on clean hubs
-            // and recomputed exactly on repaired ones).
-            for rank in 0..touch.hub_count() {
-                for &(v, rf) in &fresh_touch.per_hub[rank] {
+            // Stored records must dominate the fresh search's exact
+            // residues (they are maintained as sound upper bounds on
+            // clean hubs and recomputed, rounded up, on repaired ones).
+            let mut ws = BackwardWorkspace::new();
+            for (rank, &w) in hubs.iter().enumerate() {
+                let exact =
+                    crate::backward::backward_search(&snap, &mut ws, SQRT_C, w, r_max, 64, true);
+                for &(v, rf) in &exact.touched {
                     let stored = touch.max_residue(rank, v);
                     assert!(
-                        stored >= rf - 1e-12 * rf.abs(),
+                        stored >= rf,
                         "hub rank {rank}, node {v}: stored bound {stored} < fresh residue {rf}"
                     );
                 }

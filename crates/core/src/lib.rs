@@ -77,8 +77,8 @@ pub mod walkcache;
 pub mod workspace;
 
 pub use config::{DynamicParams, HubCount, PrsimConfig, QueryParams};
-pub use dynamic::{DynamicPrsim, DynamicTotals, UpdateMode, UpdateStats};
-pub use index::{HubTouchSets, IndexStats, Postings, PrsimIndex, ReservePrecision};
+pub use dynamic::{DynamicPrsim, DynamicTotals, MemoryStats, UpdateMode, UpdateStats};
+pub use index::{ArenaMemory, HubTouchSets, IndexStats, Postings, PrsimIndex, ReservePrecision};
 pub use paging::{BufferPool, PageScrub, PagedOptions, PagingStats, PostingsScratch};
 pub use query::{Prsim, QueryStats};
 pub use scores::{SimRankScores, TopEntries};

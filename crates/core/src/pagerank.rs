@@ -106,6 +106,38 @@ pub fn refine_reverse_pagerank(
     max_iter: usize,
     pi: &mut Vec<f64>,
 ) -> RefineOutcome {
+    refine_reverse_pagerank_with(g, sqrt_c, tol, max_iter, pi, &mut RefineScratch::default())
+}
+
+/// The four `n`-vectors of a refinement (occupancy, scaled occupancy,
+/// residual and next residual), kept by a caller that refines on every
+/// update so that a refinement allocates nothing.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct RefineScratch {
+    occ: Vec<f64>,
+    scaled: Vec<f64>,
+    r: Vec<f64>,
+    next_r: Vec<f64>,
+}
+
+impl RefineScratch {
+    /// Bytes the four vectors hold allocated (memory accounting).
+    pub(crate) fn capacity_bytes(&self) -> usize {
+        (self.occ.capacity() + self.scaled.capacity() + self.r.capacity() + self.next_r.capacity())
+            * std::mem::size_of::<f64>()
+    }
+}
+
+/// [`refine_reverse_pagerank`] on caller-held scratch vectors; the result
+/// is bit-identical.
+pub(crate) fn refine_reverse_pagerank_with(
+    g: &DiGraph,
+    sqrt_c: f64,
+    tol: f64,
+    max_iter: usize,
+    pi: &mut Vec<f64>,
+    scratch: &mut RefineScratch,
+) -> RefineOutcome {
     let n = g.node_count();
     pi.resize(n, 0.0);
     if n == 0 {
@@ -115,8 +147,16 @@ pub fn refine_reverse_pagerank(
     let inv_n = 1.0 / n as f64;
 
     // Occupancy g = π/α and per-node x/d_in scratch.
-    let mut occ: Vec<f64> = pi.iter().map(|&x| x / alpha).collect();
-    let mut scaled: Vec<f64> = vec![0.0; n];
+    let RefineScratch {
+        occ,
+        scaled,
+        r,
+        next_r,
+    } = scratch;
+    occ.clear();
+    occ.extend(pi.iter().map(|&x| x / alpha));
+    scaled.clear();
+    scaled.resize(n, 0.0);
     let in_degrees = g.in_degrees();
 
     // (A·x)(z) = √c Σ_{v ∈ O(z)} x(v)/d_in(v), reading `scaled[v]`.
@@ -135,8 +175,7 @@ pub fn refine_reverse_pagerank(
     for (slot, (&x, &d)) in scaled.iter_mut().zip(occ.iter().zip(in_degrees)) {
         *slot = if d == 0 { 0.0 } else { x / d as f64 };
     }
-    let mut r: Vec<f64> = Vec::with_capacity(n);
-    apply(&scaled, &mut r);
+    apply(scaled, r);
     for (slot, &x) in r.iter_mut().zip(occ.iter()) {
         *slot += inv_n - x;
     }
@@ -146,7 +185,6 @@ pub fn refine_reverse_pagerank(
         ..Default::default()
     };
     let mut residual_l1 = outcome.initial_residual;
-    let mut next_r: Vec<f64> = Vec::with_capacity(n);
     while residual_l1 >= tol && outcome.iterations < max_iter {
         outcome.iterations += 1;
         outcome.l1_change += alpha * residual_l1;
@@ -155,8 +193,8 @@ pub fn refine_reverse_pagerank(
             let d = in_degrees[v];
             scaled[v] = if d == 0 { 0.0 } else { r[v] / d as f64 };
         }
-        apply(&scaled, &mut next_r);
-        std::mem::swap(&mut r, &mut next_r);
+        apply(scaled, next_r);
+        std::mem::swap(r, next_r);
         residual_l1 = r.iter().map(|x| x.abs()).sum();
     }
     outcome.final_residual = residual_l1;

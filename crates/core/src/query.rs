@@ -116,7 +116,7 @@ pub struct QueryStats {
 const WALK_CACHE_SEED: u64 = 0x57A1_CACE_0BEA_CE5D;
 
 /// A built PRSim engine, ready to answer single-source queries.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Prsim {
     graph: DiGraph,
     pi: Vec<f64>,
@@ -129,6 +129,35 @@ pub struct Prsim {
     cache: Option<WalkCache>,
     dr: usize,
     fr: usize,
+}
+
+impl Clone for Prsim {
+    fn clone(&self) -> Self {
+        Prsim {
+            graph: self.graph.clone(),
+            pi: self.pi.clone(),
+            index: self.index.clone(),
+            config: self.config.clone(),
+            geom: self.geom.clone(),
+            cache: self.cache.clone(),
+            dr: self.dr,
+            fr: self.fr,
+        }
+    }
+
+    /// Copies `source` into `self`'s existing buffers, part by part: an
+    /// epoch snapshot refreshed from the live engine copies the same
+    /// bytes a fresh clone would, without allocating them again.
+    fn clone_from(&mut self, source: &Self) {
+        self.graph.clone_from(&source.graph);
+        prsim_graph::mem::copy_reusing(&mut self.pi, &source.pi);
+        self.index.clone_from(&source.index);
+        self.config.clone_from(&source.config);
+        self.geom.clone_from(&source.geom);
+        self.cache.clone_from(&source.cache);
+        self.dr = source.dr;
+        self.fr = source.fr;
+    }
 }
 
 impl Prsim {

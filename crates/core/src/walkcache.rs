@@ -88,6 +88,7 @@
 //! refills exactly those against the updated graph, and reports the
 //! count through `UpdateStats`/`DynamicTotals`.
 
+use prsim_graph::mem::copy_reusing;
 use prsim_graph::{DiGraph, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -144,12 +145,26 @@ fn pool_samples_at_rank(top: usize, rank: usize) -> usize {
 /// module docs): `mask[y]` has bit `r` set iff node `y` can reach pool
 /// `r`'s cached node along out-edges within the walk cap — equivalently,
 /// iff walks from that cached node can visit `y`.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct ReachMasks {
     /// Words per node row (`⌈pools / 64⌉`).
     words: usize,
     /// `n · words` row-major bit rows.
     bits: Vec<u64>,
+}
+
+impl Clone for ReachMasks {
+    fn clone(&self) -> Self {
+        ReachMasks {
+            words: self.words,
+            bits: self.bits.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.words = source.words;
+        copy_reusing(&mut self.bits, &source.bits);
+    }
 }
 
 impl ReachMasks {
@@ -262,7 +277,7 @@ impl ReachMasks {
 /// verdicts for the top-π nodes, consumed by the engine's walk kernel
 /// through per-query [`CacheCursors`]. See the module docs for layout,
 /// honesty, and invalidation.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct WalkCache {
     /// Membership bitset over the node universe: the walk kernel
     /// probes this on **every** walk arrival, and at one bit per node it
@@ -288,6 +303,36 @@ pub struct WalkCache {
     generation: u64,
     /// Base seed of the pool draws.
     seed: u64,
+}
+
+impl Clone for WalkCache {
+    fn clone(&self) -> Self {
+        WalkCache {
+            member: self.member.clone(),
+            pos: self.pos.clone(),
+            nodes: self.nodes.clone(),
+            bounds: self.bounds.clone(),
+            terms: self.terms.clone(),
+            eta_bits: self.eta_bits.clone(),
+            masks: self.masks.clone(),
+            generation: self.generation,
+            seed: self.seed,
+        }
+    }
+
+    /// Copies `source` into `self`'s existing buffers
+    /// ([`copy_reusing`]), as engine snapshots are refreshed.
+    fn clone_from(&mut self, source: &Self) {
+        copy_reusing(&mut self.member, &source.member);
+        copy_reusing(&mut self.pos, &source.pos);
+        copy_reusing(&mut self.nodes, &source.nodes);
+        copy_reusing(&mut self.bounds, &source.bounds);
+        copy_reusing(&mut self.terms, &source.terms);
+        copy_reusing(&mut self.eta_bits, &source.eta_bits);
+        self.masks.clone_from(&source.masks);
+        self.generation = source.generation;
+        self.seed = source.seed;
+    }
 }
 
 impl WalkCache {

@@ -3,7 +3,7 @@
 //! trailing bytes, page-index attacks) handled with structured errors
 //! only, hard memory budgets honored under real eviction pressure, and
 //! exact-or-degraded query behavior under injected read faults and
-//! bit-rot.
+//! bit-rot, and a bounded overlay under a stream of repairs.
 
 use std::fs;
 use std::path::PathBuf;
@@ -13,11 +13,11 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use prsim_core::pagerank::{rank_by_pagerank, reverse_pagerank};
 use prsim_core::{
-    HubCount, PagedOptions, Postings, PostingsScratch, Prsim, PrsimConfig, PrsimIndex, QueryParams,
-    ReservePrecision,
+    DynamicParams, DynamicPrsim, HubCount, PagedOptions, Postings, PostingsScratch, Prsim,
+    PrsimConfig, PrsimIndex, QueryParams, ReservePrecision, UpdateMode,
 };
 use prsim_graph::ordering::sort_out_by_in_degree;
-use prsim_graph::{DiGraph, GraphBuilder, NodeId};
+use prsim_graph::{DiGraph, EdgeUpdate, GraphBuilder, NodeId};
 use prsim_storage::fault::{FaultPlan, FaultyStorage};
 use prsim_storage::FsStorage;
 use rand::rngs::StdRng;
@@ -339,6 +339,95 @@ fn paged_serves_bit_identical_under_4x_budget_pressure() {
     );
     assert!(p.evictions > 0, "a 4x-budget arena must evict");
     assert!(!paged.index().paging_unhealthy());
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A paged arena under a stream of repairs: the resident overlay that
+/// repairs append to is compacted in place by the resident rule, so it
+/// stays within twice the live arena's bytes (it used to grow without
+/// bound, since only a re-demote reclaimed it), while every answer stays
+/// bit-identical to a resident engine fed the same stream.
+#[test]
+fn paged_overlay_stays_bounded_and_answers_match_resident_under_updates() {
+    let g = pressure_graph();
+    // No drift rebuilds: a rebuild replaces the paged arena with a
+    // resident one, and the overlay is what is under test.
+    let params = DynamicParams {
+        drift_budget: 1e9,
+        ..Default::default()
+    };
+    let mode = UpdateMode::Incremental(params);
+    let mut resident = DynamicPrsim::new(&g, engine_config(), mode).unwrap();
+    let mut paged = DynamicPrsim::new(&g, engine_config(), mode).unwrap();
+    let dir = tmpdir();
+    let paged_opts = PagedOptions {
+        page_bytes: 256,
+        memory_budget: 1 << 22,
+        hot_ranks: 0,
+    };
+    paged
+        .page_out_index(Arc::new(FsStorage), &dir.join("arena.pages"), &paged_opts)
+        .unwrap();
+
+    let edges: Vec<(NodeId, NodeId)> = g.edges().collect();
+    let n = g.node_count() as NodeId;
+    let mut applied = 0;
+    for i in 0..160u32 {
+        let update = if i % 2 == 0 {
+            let (u, v) = edges[(i as usize * 37) % edges.len()];
+            EdgeUpdate::Delete(u, v)
+        } else {
+            EdgeUpdate::Insert((i * 131) % n, (i * 71 + 5) % n)
+        };
+        let want = resident.apply(update).unwrap();
+        let got = paged.apply(update).unwrap();
+        assert_eq!(got.applied, want.applied);
+        assert_eq!(got.touched_hubs, want.touched_hubs, "update {i}");
+        assert!(!got.rebuilt);
+        applied += usize::from(got.applied);
+
+        let index = paged.engine().unwrap().index();
+        assert!(!index.is_resident(), "update {i} left the arena resident");
+        let width = 4 + match index.precision() {
+            ReservePrecision::F64 => 8,
+            ReservePrecision::F32 => 4,
+        };
+        let overlay = index.arena_memory();
+        let live_arena = index.entry_count() * width;
+        assert!(
+            overlay.live_bytes + overlay.dead_bytes <= 2 * live_arena,
+            "update {i}: overlay {} + {} B against a live arena of {live_arena} B",
+            overlay.live_bytes,
+            overlay.dead_bytes
+        );
+        if i % 20 == 19 {
+            assert_eq!(index, resident.engine().unwrap().index(), "update {i}");
+            for source in [0u32, 311, 999] {
+                let seed = u64::from(i) ^ u64::from(source);
+                let (want, _) = resident
+                    .engine()
+                    .unwrap()
+                    .try_single_source(source, &mut StdRng::seed_from_u64(seed))
+                    .unwrap();
+                let (got, stats) = paged
+                    .engine()
+                    .unwrap()
+                    .try_single_source(source, &mut StdRng::seed_from_u64(seed))
+                    .unwrap();
+                assert!(!stats.degraded);
+                let bits = |s: &prsim_core::SimRankScores| -> Vec<(NodeId, u64)> {
+                    s.iter().map(|(v, x)| (v, x.to_bits())).collect()
+                };
+                assert_eq!(bits(&got), bits(&want), "update {i}, source {source}");
+            }
+        }
+    }
+    assert!(applied >= 100, "only {applied} updates applied");
+    let stats = paged.engine().unwrap().index().stats();
+    assert!(
+        stats.compactions > 0,
+        "the overlay must have been compacted"
+    );
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -6,6 +6,7 @@ use prsim_core::pagerank::{exact_lhop_rppr_to, reverse_pagerank, second_moment};
 use prsim_core::vbbw::variance_bounded_backward_walk;
 use prsim_core::walk::{sample_walk, Terminal};
 use prsim_core::{HubCount, Prsim, PrsimConfig, PrsimIndex, QueryParams};
+use prsim_graph::delta::DeltaGraph;
 use prsim_graph::ordering::sort_out_by_in_degree;
 use prsim_graph::DiGraph;
 use rand::rngs::StdRng;
@@ -164,5 +165,101 @@ proptest! {
         let a = engine.single_source(u, &mut StdRng::seed_from_u64(seed));
         let b = engine.single_source(u, &mut StdRng::seed_from_u64(seed));
         prop_assert_eq!(a.max_abs_diff(&b), 0.0);
+    }
+}
+
+/// The dirty rule over exact `(node, max residue)` f64 records — what
+/// the touched records held before they became 8-byte `f32` bounds —
+/// kept as the reference the `f32` rule must cover.
+fn f64_plan_update(
+    records: &mut [Vec<(u32, f64)>],
+    a: u32,
+    b: u32,
+    old_in_degree_b: usize,
+    is_insert: bool,
+    r_max: f64,
+) -> Vec<usize> {
+    let k = old_in_degree_b as f64;
+    let mut dirty = Vec::new();
+    for (rank, recs) in records.iter_mut().enumerate() {
+        let bound = |v: u32| {
+            recs.binary_search_by_key(&v, |&(x, _)| x)
+                .map_or(0.0, |i| recs[i].1)
+        };
+        let rb = bound(b);
+        let new_bound = if is_insert {
+            (rb * k + SQRT_C * bound(a)) / (k + 1.0)
+        } else if old_in_degree_b <= 1 {
+            0.0
+        } else {
+            rb * k / (k - 1.0)
+        };
+        if rb > r_max || new_bound > r_max {
+            dirty.push(rank);
+        } else {
+            match recs.binary_search_by_key(&b, |&(x, _)| x) {
+                Ok(i) => recs[i].1 = new_bound,
+                Err(i) if new_bound > 0.0 => recs.insert(i, (b, new_bound)),
+                Err(_) => {}
+            }
+        }
+    }
+    dirty
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Over random graphs and update streams, the `f32` touched records
+    /// stay sound — every stored bound is at least the maximum residue a
+    /// fresh tracked search of that hub finds on the current graph — the
+    /// `f32` rule's dirty set contains the exact `f64` rule's, and the
+    /// repaired index equals a fresh build.
+    #[test]
+    fn f32_touch_bounds_stay_sound_and_cover_the_f64_rule(
+        g in arb_graph(),
+        j0 in 1usize..8,
+        r_exp in 2i32..5,
+        stream in proptest::collection::vec((0u32..30, 0u32..30, 0u8..2), 1..40),
+    ) {
+        let n = g.node_count() as u32;
+        let r_max = 10f64.powi(-r_exp);
+        let hubs: Vec<u32> = (0..n).take(j0).collect();
+        let (mut index, mut touch) = PrsimIndex::build_tracked(&g, hubs.clone(), SQRT_C, r_max, 40, 1);
+        let mut ws = BackwardWorkspace::new();
+        let mut exact: Vec<Vec<(u32, f64)>> = hubs
+            .iter()
+            .map(|&w| backward_search(&g, &mut ws, SQRT_C, w, r_max, 40, true).touched)
+            .collect();
+        let mut prev = g.clone();
+        let mut delta = DeltaGraph::new(g);
+        for (a, b, op) in stream {
+            let (a, b, insert) = (a % n, b % n, op == 1);
+            let changed = if insert { delta.insert_edge(a, b) } else { delta.delete_edge(a, b) };
+            if !changed {
+                continue;
+            }
+            let k = prev.in_degree(b);
+            let dirty = touch.plan_update(a, b, k, insert, SQRT_C, r_max);
+            let dirty_f64 = f64_plan_update(&mut exact, a, b, k, insert, r_max);
+            prop_assert!(
+                dirty_f64.iter().all(|r| dirty.contains(r)),
+                "f64 dirty {dirty_f64:?} not within f32 dirty {dirty:?}"
+            );
+            let snap = delta.snapshot();
+            index.repair_hubs(&snap, &dirty, &mut touch, SQRT_C, r_max, 40, 1);
+            for &rank in &dirty_f64 {
+                exact[rank] = backward_search(&snap, &mut ws, SQRT_C, hubs[rank], r_max, 40, true).touched;
+            }
+            for (rank, &w) in hubs.iter().enumerate() {
+                let fresh = backward_search(&snap, &mut ws, SQRT_C, w, r_max, 40, true);
+                for &(v, r) in &fresh.touched {
+                    let stored = touch.max_residue(rank, v);
+                    prop_assert!(stored >= r, "hub {w}, node {v}: bound {stored} < residue {r}");
+                }
+            }
+            prop_assert_eq!(&index, &PrsimIndex::build(&snap, hubs.clone(), SQRT_C, r_max, 40, 1));
+            prev = snap;
+        }
     }
 }

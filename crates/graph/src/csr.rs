@@ -15,12 +15,14 @@
 //!
 //! [`ordering::sort_out_by_in_degree`]: crate::ordering::sort_out_by_in_degree
 
+use crate::mem::{copy_reusing, reserve_headroom};
+
 /// Dense node identifier. The suite supports up to `u32::MAX - 1` nodes,
 /// enough for every dataset in the paper (UK-Union has 1.3e8 nodes).
 pub type NodeId = u32;
 
 /// An immutable directed graph in CSR form with both adjacency orientations.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct DiGraph {
     /// `out_offsets[u]..out_offsets[u+1]` indexes `out_targets` for node `u`.
     out_offsets: Vec<usize>,
@@ -48,12 +50,53 @@ pub struct DiGraph {
 
 /// Per-node list lengths implied by a CSR offset array.
 fn degrees_from_offsets(offsets: &[usize]) -> Vec<u32> {
-    offsets
-        .windows(2)
-        .map(|w| {
-            u32::try_from(w[1] - w[0]).expect("per-node degree must fit in u32 (NodeId width)")
-        })
-        .collect()
+    let mut degrees = Vec::new();
+    fill_degrees(&mut degrees, offsets);
+    degrees
+}
+
+/// Overwrites `degrees` with the per-node list lengths of `offsets`,
+/// reusing its allocation.
+fn fill_degrees(degrees: &mut Vec<u32>, offsets: &[usize]) {
+    degrees.clear();
+    reserve_headroom(degrees, offsets.len().saturating_sub(1));
+    degrees.extend(offsets.windows(2).map(|w| {
+        u32::try_from(w[1] - w[0]).expect("per-node degree must fit in u32 (NodeId width)")
+    }));
+}
+
+impl Clone for DiGraph {
+    fn clone(&self) -> Self {
+        DiGraph {
+            out_offsets: self.out_offsets.clone(),
+            out_targets: self.out_targets.clone(),
+            in_offsets: self.in_offsets.clone(),
+            in_sources: self.in_sources.clone(),
+            in_degrees: self.in_degrees.clone(),
+            out_target_in_degs: self.out_target_in_degs.clone(),
+            out_sorted_by_in_degree: self.out_sorted_by_in_degree,
+        }
+    }
+
+    /// Copies `source` into `self`'s existing buffers
+    /// ([`copy_reusing`]): refreshing a graph of about the same size
+    /// allocates nothing.
+    fn clone_from(&mut self, source: &Self) {
+        copy_reusing(&mut self.out_offsets, &source.out_offsets);
+        copy_reusing(&mut self.out_targets, &source.out_targets);
+        copy_reusing(&mut self.in_offsets, &source.in_offsets);
+        copy_reusing(&mut self.in_sources, &source.in_sources);
+        copy_reusing(&mut self.in_degrees, &source.in_degrees);
+        copy_reusing(&mut self.out_target_in_degs, &source.out_target_in_degs);
+        self.out_sorted_by_in_degree = source.out_sorted_by_in_degree;
+    }
+}
+
+/// The empty graph (no nodes, no edges).
+impl Default for DiGraph {
+    fn default() -> Self {
+        DiGraph::from_edges(0, &[])
+    }
 }
 
 impl DiGraph {
@@ -291,6 +334,18 @@ impl DiGraph {
         }
     }
 
+    /// Bytes the CSR arrays hold allocated, counted from their
+    /// capacities (the memory accounting of a long-lived graph whose
+    /// buffers are refilled in place).
+    pub fn capacity_bytes(&self) -> usize {
+        self.out_offsets.capacity() * std::mem::size_of::<usize>()
+            + self.in_offsets.capacity() * std::mem::size_of::<usize>()
+            + self.out_targets.capacity() * std::mem::size_of::<NodeId>()
+            + self.in_sources.capacity() * std::mem::size_of::<NodeId>()
+            + self.in_degrees.capacity() * std::mem::size_of::<u32>()
+            + self.out_target_in_degs.capacity() * std::mem::size_of::<u32>()
+    }
+
     /// Approximate resident memory of the CSR arrays in bytes.
     pub fn memory_bytes(&self) -> usize {
         self.out_offsets.len() * std::mem::size_of::<usize>()
@@ -301,25 +356,48 @@ impl DiGraph {
             + self.out_target_in_degs.len() * std::mem::size_of::<u32>()
     }
 
-    /// Mutable out-adjacency access for the counting sort; the inline
-    /// degree stream is invalidated (the sort rebuilds it via
-    /// [`DiGraph::set_out_sorted_by_in_degree`]).
-    pub(crate) fn out_adjacency_mut(&mut self) -> (&[usize], &mut [NodeId]) {
-        self.out_target_in_degs = Vec::new();
+    /// Mutable out-adjacency access for the in-degree sort, with the
+    /// in-degrees it sorts by; the inline degree stream is invalidated
+    /// (the sort rebuilds it via [`DiGraph::set_out_sorted_by_in_degree`]).
+    pub(crate) fn out_adjacency_mut(&mut self) -> (&[usize], &mut [NodeId], &[u32]) {
+        self.out_target_in_degs.clear();
         self.out_sorted_by_in_degree = false;
-        (&self.out_offsets, &mut self.out_targets)
+        (&self.out_offsets, &mut self.out_targets, &self.in_degrees)
     }
 
     pub(crate) fn set_out_sorted_by_in_degree(&mut self, flag: bool) {
         self.out_sorted_by_in_degree = flag;
-        self.out_target_in_degs = if flag {
-            self.out_targets
-                .iter()
-                .map(|&y| self.in_degrees[y as usize])
-                .collect()
-        } else {
-            Vec::new()
-        };
+        self.out_target_in_degs.clear();
+        if flag {
+            reserve_headroom(&mut self.out_target_in_degs, self.out_targets.len());
+            let in_degrees = &self.in_degrees;
+            self.out_target_in_degs
+                .extend(self.out_targets.iter().map(|&y| in_degrees[y as usize]));
+        }
+    }
+
+    /// Rebuilds the graph in its own buffers: `fill` receives the four
+    /// cleared CSR arrays (out offsets, out targets, in offsets, in
+    /// sources) and writes the new adjacency; the derived arrays are
+    /// recomputed in place and the result is unsorted. Reuses every
+    /// allocation the graph already holds.
+    pub(crate) fn refill(
+        &mut self,
+        fill: impl FnOnce(&mut Vec<usize>, &mut Vec<NodeId>, &mut Vec<usize>, &mut Vec<NodeId>),
+    ) {
+        self.out_offsets.clear();
+        self.out_targets.clear();
+        self.in_offsets.clear();
+        self.in_sources.clear();
+        fill(
+            &mut self.out_offsets,
+            &mut self.out_targets,
+            &mut self.in_offsets,
+            &mut self.in_sources,
+        );
+        fill_degrees(&mut self.in_degrees, &self.in_offsets);
+        self.out_target_in_degs.clear();
+        self.out_sorted_by_in_degree = false;
     }
 
     pub(crate) fn raw_parts(&self) -> (&[usize], &[NodeId], &[usize], &[NodeId], bool) {

@@ -21,7 +21,8 @@
 use std::collections::BTreeSet;
 
 use crate::csr::{DiGraph, NodeId};
-use crate::ordering::sort_out_by_in_degree;
+use crate::mem::reserve_headroom;
+use crate::ordering::sort_out_by_in_degree_with;
 
 /// One edge mutation of a dynamic graph.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -75,6 +76,9 @@ pub struct DeltaGraph {
     compact_threshold: usize,
     /// Compactions performed (observability).
     compactions: usize,
+    /// Scratch of the snapshot's in-degree sort, kept across snapshots
+    /// (it only grows to the longest out-list that is out of order).
+    sort_scratch: Vec<u128>,
 }
 
 impl DeltaGraph {
@@ -95,6 +99,7 @@ impl DeltaGraph {
             n,
             compact_threshold: compact_threshold.max(1),
             compactions: 0,
+            sort_scratch: Vec::new(),
         }
     }
 
@@ -187,20 +192,31 @@ impl DeltaGraph {
     /// overlay has reached the compaction threshold, the snapshot also
     /// becomes the new base and the overlay resets.
     pub fn snapshot(&mut self) -> DiGraph {
-        let snap = self.merge();
+        let mut snap = DiGraph::default();
+        self.snapshot_into(&mut snap);
+        snap
+    }
+
+    /// [`DeltaGraph::snapshot`] written into `g`'s buffers, replacing
+    /// whatever graph `g` held. Fed the previous snapshot, it allocates
+    /// nothing unless the graph outgrew that snapshot's headroom; a
+    /// compaction copies the result into the base's own buffers.
+    pub fn snapshot_into(&mut self, g: &mut DiGraph) {
+        self.merge_into(g);
         if self.overlay_len() >= self.compact_threshold {
-            self.base = snap.clone();
+            self.base.clone_from(g);
             self.inserts.clear();
             self.deletes.clear();
             self.compactions += 1;
         }
-        snap
     }
 
     /// Forces compaction now, regardless of the threshold.
     pub fn compact(&mut self) -> &DiGraph {
         if self.overlay_len() > 0 || self.base.node_count() < self.n {
-            self.base = self.merge();
+            let mut merged = DiGraph::default();
+            self.merge_into(&mut merged);
+            self.base = merged;
             self.inserts.clear();
             self.deletes.clear();
             self.compactions += 1;
@@ -208,10 +224,21 @@ impl DeltaGraph {
         &self.base
     }
 
-    /// Linear merge of base CSR and overlay into a sorted [`DiGraph`].
-    fn merge(&self) -> DiGraph {
+    /// Bytes held by the base CSR and the scratch, counted from
+    /// capacities, plus the overlay's edges (memory accounting).
+    pub fn capacity_bytes(&self) -> usize {
+        self.base.capacity_bytes()
+            + self.sort_scratch.capacity() * std::mem::size_of::<u128>()
+            + self.overlay_len() * std::mem::size_of::<(NodeId, NodeId)>()
+    }
+
+    /// Linear merge of base CSR and overlay into `g`'s buffers, then the
+    /// in-degree sort.
+    fn merge_into(&mut self, g: &mut DiGraph) {
         let n = self.n;
-        let base_n = self.base.node_count();
+        let m = self.edge_count();
+        let base = &self.base;
+        let base_n = base.node_count();
 
         // Overlay views sorted by source (inserts/deletes already are) and
         // by target (for the in-adjacency merge).
@@ -222,89 +249,87 @@ impl DeltaGraph {
         let mut del_by_dst = del_by_src.clone();
         del_by_dst.sort_unstable_by_key(|&(u, v)| (v, u));
 
-        let m = self.edge_count();
-        let mut out_offsets = Vec::with_capacity(n + 1);
-        let mut out_targets: Vec<NodeId> = Vec::with_capacity(m);
-        let mut in_offsets = Vec::with_capacity(n + 1);
-        let mut in_sources: Vec<NodeId> = Vec::with_capacity(m);
+        g.refill(|out_offsets, out_targets, in_offsets, in_sources| {
+            reserve_headroom(out_offsets, n + 1);
+            reserve_headroom(out_targets, m);
+            reserve_headroom(in_offsets, n + 1);
+            reserve_headroom(in_sources, m);
 
-        // Out-adjacency: per source u, base list minus deletes plus inserts.
-        let mut ins_i = 0usize;
-        let mut del_i = 0usize;
-        out_offsets.push(0);
-        let mut removal: Vec<NodeId> = Vec::new();
-        for u in 0..n as NodeId {
-            // Targets deleted from u (consume the sorted run for u).
-            removal.clear();
-            while del_i < del_by_src.len() && del_by_src[del_i].0 == u {
-                removal.push(del_by_src[del_i].1);
-                del_i += 1;
-            }
-            if (u as usize) < base_n {
-                if removal.is_empty() {
-                    out_targets.extend_from_slice(self.base.out_neighbors(u));
-                } else {
-                    for &v in self.base.out_neighbors(u) {
-                        // Remove exactly one occurrence per delete (the
-                        // base is a simple graph, so one suffices).
-                        if let Some(pos) = removal.iter().position(|&d| d == v) {
-                            removal.swap_remove(pos);
-                        } else {
-                            out_targets.push(v);
+            // Out-adjacency: per source u, base list minus deletes plus inserts.
+            let mut ins_i = 0usize;
+            let mut del_i = 0usize;
+            out_offsets.push(0);
+            let mut removal: Vec<NodeId> = Vec::new();
+            for u in 0..n as NodeId {
+                // Targets deleted from u (consume the sorted run for u).
+                removal.clear();
+                while del_i < del_by_src.len() && del_by_src[del_i].0 == u {
+                    removal.push(del_by_src[del_i].1);
+                    del_i += 1;
+                }
+                if (u as usize) < base_n {
+                    if removal.is_empty() {
+                        out_targets.extend_from_slice(base.out_neighbors(u));
+                    } else {
+                        for &v in base.out_neighbors(u) {
+                            // Remove exactly one occurrence per delete (the
+                            // base is a simple graph, so one suffices).
+                            if let Some(pos) = removal.iter().position(|&d| d == v) {
+                                removal.swap_remove(pos);
+                            } else {
+                                out_targets.push(v);
+                            }
                         }
                     }
                 }
+                while ins_i < ins_by_src.len() && ins_by_src[ins_i].0 == u {
+                    out_targets.push(ins_by_src[ins_i].1);
+                    ins_i += 1;
+                }
+                out_offsets.push(out_targets.len());
             }
-            while ins_i < ins_by_src.len() && ins_by_src[ins_i].0 == u {
-                out_targets.push(ins_by_src[ins_i].1);
-                ins_i += 1;
-            }
-            out_offsets.push(out_targets.len());
-        }
 
-        // In-adjacency: per target v, base list minus deletes plus inserts.
-        let mut ins_j = 0usize;
-        let mut del_j = 0usize;
-        in_offsets.push(0);
-        for v in 0..n as NodeId {
-            removal.clear();
-            while del_j < del_by_dst.len() && del_by_dst[del_j].1 == v {
-                removal.push(del_by_dst[del_j].0);
-                del_j += 1;
-            }
-            if (v as usize) < base_n {
-                if removal.is_empty() {
-                    in_sources.extend_from_slice(self.base.in_neighbors(v));
-                } else {
-                    for &u in self.base.in_neighbors(v) {
-                        if let Some(pos) = removal.iter().position(|&d| d == u) {
-                            removal.swap_remove(pos);
-                        } else {
-                            in_sources.push(u);
+            // In-adjacency: per target v, base list minus deletes plus inserts.
+            let mut ins_j = 0usize;
+            let mut del_j = 0usize;
+            in_offsets.push(0);
+            for v in 0..n as NodeId {
+                removal.clear();
+                while del_j < del_by_dst.len() && del_by_dst[del_j].1 == v {
+                    removal.push(del_by_dst[del_j].0);
+                    del_j += 1;
+                }
+                if (v as usize) < base_n {
+                    if removal.is_empty() {
+                        in_sources.extend_from_slice(base.in_neighbors(v));
+                    } else {
+                        for &u in base.in_neighbors(v) {
+                            if let Some(pos) = removal.iter().position(|&d| d == u) {
+                                removal.swap_remove(pos);
+                            } else {
+                                in_sources.push(u);
+                            }
                         }
                     }
                 }
+                while ins_j < ins_by_dst.len() && ins_by_dst[ins_j].1 == v {
+                    in_sources.push(ins_by_dst[ins_j].0);
+                    ins_j += 1;
+                }
+                in_offsets.push(in_sources.len());
             }
-            while ins_j < ins_by_dst.len() && ins_by_dst[ins_j].1 == v {
-                in_sources.push(ins_by_dst[ins_j].0);
-                ins_j += 1;
-            }
-            in_offsets.push(in_sources.len());
-        }
 
-        debug_assert_eq!(out_targets.len(), m);
-        debug_assert_eq!(in_sources.len(), m);
-
-        let mut g =
-            DiGraph::from_raw_parts(out_offsets, out_targets, in_offsets, in_sources, false);
-        sort_out_by_in_degree(&mut g);
-        g
+            debug_assert_eq!(out_targets.len(), m);
+            debug_assert_eq!(in_sources.len(), m);
+        });
+        sort_out_by_in_degree_with(g, &mut self.sort_scratch);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ordering::sort_out_by_in_degree;
     use crate::GraphBuilder;
 
     /// Reference: rebuild the expected graph through GraphBuilder.

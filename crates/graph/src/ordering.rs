@@ -3,7 +3,9 @@
 //! Paper Algorithm 1, lines 1–4: construct a tuple `(x, y, d_in(y))` per
 //! edge, counting-sort the tuples by ascending `d_in(y)` (in-degrees are
 //! integers in `[0, n]`, so this is `O(n + m)`), then append each `y` to
-//! `x`'s out list in sorted order.
+//! `x`'s out list in sorted order. Sorting each out list stably on its
+//! own gives the same lists without the edge-sized temporaries, which is
+//! what [`sort_out_by_in_degree`] does.
 //!
 //! Both backward-walk algorithms (paper Algorithms 2 and 3) rely on this
 //! ordering: they scan a node's out-neighbors and stop at the first target
@@ -13,10 +15,12 @@
 use crate::csr::{DiGraph, NodeId};
 
 /// Reorders every out-adjacency list of `g` by ascending in-degree of the
-/// target node, in `O(n + m)` time, and marks the graph as sorted.
+/// target node, and marks the graph as sorted.
 ///
-/// Ties are broken by the stable counting sort, so the result is
-/// deterministic. The in-adjacency is untouched.
+/// Ties keep their previous order within the list (the sort is stable),
+/// so the result is deterministic: it is exactly what the paper's global
+/// counting sort of all edges by `d_in(y)`, scattered back per source,
+/// produces. The in-adjacency is untouched.
 ///
 /// ```
 /// use prsim_graph::{DiGraph, ordering::sort_out_by_in_degree};
@@ -28,53 +32,47 @@ use crate::csr::{DiGraph, NodeId};
 /// assert!(g.is_out_sorted_by_in_degree());
 /// ```
 pub fn sort_out_by_in_degree(g: &mut DiGraph) {
+    sort_out_by_in_degree_with(g, &mut Vec::new());
+}
+
+/// Lists at most this long are insertion-sorted in place.
+const INSERTION_SORT_MAX: usize = 32;
+
+/// [`sort_out_by_in_degree`] with a caller-held scratch buffer, which
+/// only ever grows to the longest list that is out of order. Each list
+/// is sorted on its own: a short one by insertion sort in place, a long
+/// one that is out of order by sorting `(d_in(y), position, y)` keys
+/// in `scratch` (unique keys, so an unstable sort is stable), and a long
+/// one already in order is left alone. The dynamic engine's snapshots
+/// are nearly sorted already, so this is one pass over the adjacency
+/// with no `O(n + m)` temporaries.
+pub(crate) fn sort_out_by_in_degree_with(g: &mut DiGraph, scratch: &mut Vec<u128>) {
     let n = g.node_count();
-    let in_degree: Vec<usize> = (0..n as NodeId).map(|v| g.in_degree(v)).collect();
-
-    // Counting sort of all edges (x, y) keyed by in_degree[y]. Rather than
-    // materializing (x, y, d) tuples we sort edge indices, then scatter the
-    // sorted edges back into per-node out lists; the scatter preserves the
-    // sorted key order within each node because we scan sorted edges in
-    // order and each node's slots are filled left to right (stable).
-    let (offsets, targets) = g.out_adjacency_mut();
-
-    // Gather edges as (source, target) in CSR order.
-    let m = targets.len();
-    let mut sources = vec![0 as NodeId; m];
+    let (offsets, targets, in_degrees) = g.out_adjacency_mut();
+    let key = |y: NodeId| in_degrees[y as usize];
     for u in 0..n {
-        sources[offsets[u]..offsets[u + 1]].fill(u as NodeId);
+        let list = &mut targets[offsets[u]..offsets[u + 1]];
+        if list.len() <= INSERTION_SORT_MAX {
+            for i in 1..list.len() {
+                let y = list[i];
+                let mut j = i;
+                while j > 0 && key(list[j - 1]) > key(y) {
+                    list[j] = list[j - 1];
+                    j -= 1;
+                }
+                list[j] = y;
+            }
+        } else if list.windows(2).any(|w| key(w[0]) > key(w[1])) {
+            scratch.clear();
+            scratch.extend(list.iter().enumerate().map(|(pos, &y)| {
+                (u128::from(key(y)) << 64) | ((pos as u128) << 32) | u128::from(y)
+            }));
+            scratch.sort_unstable();
+            for (slot, &packed) in list.iter_mut().zip(scratch.iter()) {
+                *slot = packed as u32;
+            }
+        }
     }
-
-    // Histogram over keys 0..=max_key.
-    let max_key = in_degree.iter().copied().max().unwrap_or(0);
-    let mut count = vec![0usize; max_key + 2];
-    for &y in targets.iter() {
-        count[in_degree[y as usize] + 1] += 1;
-    }
-    for k in 1..count.len() {
-        count[k] += count[k - 1];
-    }
-
-    // Stable scatter into key order.
-    let mut sorted_src = vec![0 as NodeId; m];
-    let mut sorted_tgt = vec![0 as NodeId; m];
-    for i in 0..m {
-        let y = targets[i];
-        let slot = count[in_degree[y as usize]];
-        count[in_degree[y as usize]] += 1;
-        sorted_src[slot] = sources[i];
-        sorted_tgt[slot] = y;
-    }
-
-    // Scatter back into per-node lists (stable ⇒ each list ends up in
-    // ascending key order).
-    let mut cursor: Vec<usize> = offsets[..n].to_vec();
-    for i in 0..m {
-        let x = sorted_src[i] as usize;
-        targets[cursor[x]] = sorted_tgt[i];
-        cursor[x] += 1;
-    }
-
     g.set_out_sorted_by_in_degree(true);
 }
 
@@ -162,6 +160,81 @@ mod tests {
         assert_eq!(g.out_neighbors(0), &[1]);
         assert!(g.out_neighbors(1).is_empty());
         assert_eq!(prefix_len_by_in_degree(&g, 1, 10.0), 0);
+    }
+
+    /// The global counting sort this module used to run (all edges keyed
+    /// by target in-degree, then scattered back per source), kept as the
+    /// oracle for the per-list sort.
+    fn counting_sort_oracle(g: &DiGraph) -> Vec<Vec<NodeId>> {
+        let n = g.node_count();
+        let edges: Vec<(NodeId, NodeId)> = g.edges().collect();
+        let max_key = (0..n as NodeId).map(|v| g.in_degree(v)).max().unwrap_or(0);
+        let mut count = vec![0usize; max_key + 2];
+        for &(_, y) in &edges {
+            count[g.in_degree(y) + 1] += 1;
+        }
+        for k in 1..count.len() {
+            count[k] += count[k - 1];
+        }
+        let mut sorted = vec![(0, 0); edges.len()];
+        for &(x, y) in &edges {
+            let slot = &mut count[g.in_degree(y)];
+            sorted[*slot] = (x, y);
+            *slot += 1;
+        }
+        let mut lists = vec![Vec::new(); n];
+        for (x, y) in sorted {
+            lists[x as usize].push(y);
+        }
+        lists
+    }
+
+    #[test]
+    fn per_list_sort_matches_the_global_counting_sort() {
+        // Random multigraphs with long out-lists (the scratch-sort path)
+        // and heavy in-degree ties (stability), sorted twice over one
+        // scratch buffer: once from arbitrary order, once after the
+        // in-degrees moved.
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound) as NodeId
+        };
+        let mut scratch = Vec::new();
+        for n in [1usize, 7, 60, 300] {
+            let mut edges = Vec::new();
+            for _ in 0..n * 6 {
+                edges.push((next(n as u64), next(n as u64)));
+            }
+            // Two hubs with out-lists past the insertion-sort cutoff.
+            for y in 0..n as NodeId {
+                edges.push((0, y));
+                edges.push(((n / 2) as NodeId, (n as NodeId - 1) - y));
+            }
+            let mut g = DiGraph::from_edges(n, &edges);
+            let want = counting_sort_oracle(&g);
+            sort_out_by_in_degree_with(&mut g, &mut scratch);
+            for u in g.nodes() {
+                assert_eq!(g.out_neighbors(u), &want[u as usize][..], "n={n} node {u}");
+            }
+            // Re-sort after changing in-degrees: the sorted lists plus a
+            // few new edges, a nearly sorted input.
+            let mut edges: Vec<_> = g.edges().collect();
+            edges.extend((0..n as NodeId / 3).map(|y| (next(n as u64), y)));
+            let mut h = DiGraph::from_edges(n, &edges);
+            let want = counting_sort_oracle(&h);
+            sort_out_by_in_degree_with(&mut h, &mut scratch);
+            for u in h.nodes() {
+                assert_eq!(h.out_neighbors(u), &want[u as usize][..], "n={n} node {u}");
+                let (neigh, degs) = h.out_neighbors_with_in_degrees(u);
+                assert!(neigh
+                    .iter()
+                    .zip(degs)
+                    .all(|(&y, &d)| h.in_degree(y) == d as usize));
+            }
+        }
     }
 
     #[test]

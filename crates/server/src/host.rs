@@ -41,7 +41,9 @@ use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use prsim_core::{DynamicPrsim, DynamicTotals, PagedOptions, PagingStats, PrsimConfig, PrsimIndex};
+use prsim_core::{
+    DynamicPrsim, DynamicTotals, MemoryStats, PagedOptions, PagingStats, PrsimConfig, PrsimIndex,
+};
 use prsim_graph::{DiGraph, EdgeUpdate};
 
 use crate::snapshot::{EpochSnapshot, SnapshotHandle};
@@ -109,13 +111,19 @@ pub struct HostOptions {
     /// this LSN, to exercise the supervision path end-to-end. `None` in
     /// production.
     pub applier_panic_at_lsn: Option<u64>,
-    /// Hard memory budget in bytes for the postings arena. `None`
-    /// (default) serves fully resident. `Some(budget)` demotes the
-    /// recovered index to a paged arena file (`arena-<lsn>.pages` in
-    /// the WAL directory) behind a pin/unpin buffer pool whose resident
-    /// bytes never exceed the budget; a budget too small for the page
-    /// index, the pinned hot set and one working frame fails `open`
-    /// with [`prsim_core::PrsimError::InvalidConfig`].
+    /// Hard memory budget in bytes for the paged postings arena's base:
+    /// the page file's buffer pool, its page index and the offset
+    /// tables. It is not a budget for the process. `None` (default)
+    /// serves fully resident. `Some(budget)` demotes the recovered index
+    /// to a paged arena file (`arena-<lsn>.pages` in the WAL directory)
+    /// behind a pin/unpin buffer pool whose resident bytes never exceed
+    /// the budget; a budget too small for the page index, the pinned hot
+    /// set and one working frame fails `open` with
+    /// [`prsim_core::PrsimError::InvalidConfig`]. Outside the budget stay
+    /// the graph, π, the walk cache, the touched records, the update
+    /// scratch, the epoch copies and the resident overlay that repairs
+    /// append to (compacted in place like a resident arena), all
+    /// reported by `stats`' `mem_` keys.
     pub memory_budget: Option<u64>,
     /// Page size of the paged arena file (ignored without
     /// [`HostOptions::memory_budget`]).
@@ -268,6 +276,15 @@ pub struct ServerStats {
     /// Found errors healed in place (page rewrite, checkpoint refresh,
     /// redundant-artifact removal).
     pub scrub_errors_healed: u64,
+    /// The applier's engine memory by component, as of the published
+    /// epoch.
+    pub memory: MemoryStats,
+    /// Publishes that refreshed the epoch the previous publish retired
+    /// (no reader held it), reusing its buffers.
+    pub epochs_recycled: u64,
+    /// Publishes that cloned the engine into a new epoch (boot, or a
+    /// reader still held the retired one).
+    pub epochs_cloned: u64,
 }
 
 impl ServerStats {
@@ -297,6 +314,21 @@ impl ServerStats {
             self.scrub_bytes_verified,
             self.scrub_errors_found,
             self.scrub_errors_healed,
+        ));
+        let m = &self.memory;
+        line.push_str(&format!(
+            " mem_touch_bytes={} mem_update_scratch_bytes={} mem_arena_live_bytes={} \
+             mem_arena_dead_bytes={} mem_arena_bytes={} mem_graph_bytes={} mem_delta_bytes={} \
+             mem_epochs_recycled={} mem_epochs_cloned={}",
+            m.touch_bytes,
+            m.update_scratch_bytes,
+            m.arena_live_bytes,
+            m.arena_dead_bytes,
+            m.arena_bytes,
+            m.graph_bytes,
+            m.delta_bytes,
+            self.epochs_recycled,
+            self.epochs_cloned,
         ));
         line
     }
@@ -433,6 +465,9 @@ struct Progress {
     applied_lsn: u64,
     totals: DynamicTotals,
     checkpoints: u64,
+    memory: MemoryStats,
+    epochs_recycled: u64,
+    epochs_cloned: u64,
 }
 
 /// A resident PRSim engine over a durable WAL. See the crate docs for
@@ -526,6 +561,7 @@ impl EngineHost {
             .expect("incremental engine is always built")
             .clone();
         let totals = dynamic.totals();
+        let memory = dynamic.memory();
         let shared = Arc::new(Shared {
             opts: options,
             storage,
@@ -547,6 +583,9 @@ impl EngineHost {
                 applied_lsn,
                 totals,
                 checkpoints: 0,
+                memory,
+                epochs_recycled: 0,
+                epochs_cloned: 1,
             }),
             progress_cond: Condvar::new(),
             shutdown: AtomicBool::new(false),
@@ -857,6 +896,9 @@ impl EngineHost {
             scrub_bytes_verified: self.shared.scrub.bytes_verified.load(Ordering::Relaxed),
             scrub_errors_found: self.shared.scrub.errors_found.load(Ordering::Relaxed),
             scrub_errors_healed: self.shared.scrub.errors_healed.load(Ordering::Relaxed),
+            memory: progress.memory,
+            epochs_recycled: progress.epochs_recycled,
+            epochs_cloned: progress.epochs_cloned,
         }
     }
 
@@ -956,6 +998,9 @@ impl Drop for EngineHost {
 /// shutdown or a terminal failure (which leaves the host serving
 /// read-only from the last published epoch).
 fn applier_loop(shared: Arc<Shared>, mut dynamic: DynamicPrsim, mut applied_lsn: u64) {
+    // The epoch the last publish retired, refreshed by the next publish
+    // if no reader holds it by then.
+    let mut retired = None;
     loop {
         let mut tasks = {
             let mut q = lock_recover(&shared.queue);
@@ -1020,7 +1065,7 @@ fn applier_loop(shared: Arc<Shared>, mut dynamic: DynamicPrsim, mut applied_lsn:
                 Task::Checkpoint { done } => {
                     if dirty {
                         redemote_if_resident(&shared, &mut dynamic, applied_lsn);
-                        publish(&shared, &dynamic, applied_lsn);
+                        publish(&shared, &dynamic, applied_lsn, &mut retired);
                         dirty = false;
                     }
                     let result = write_checkpoint(&shared, &dynamic, applied_lsn);
@@ -1034,7 +1079,7 @@ fn applier_loop(shared: Arc<Shared>, mut dynamic: DynamicPrsim, mut applied_lsn:
         }
         if dirty {
             redemote_if_resident(&shared, &mut dynamic, applied_lsn);
-            publish(&shared, &dynamic, applied_lsn);
+            publish(&shared, &dynamic, applied_lsn, &mut retired);
         }
     }
 }
@@ -1104,20 +1149,47 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
     }
 }
 
-/// Clones the repaired engine into a fresh epoch and swaps it in.
-fn publish(shared: &Shared, dynamic: &DynamicPrsim, applied_lsn: u64) {
+/// Copies the repaired engine into a new epoch and swaps it in. The copy
+/// goes into `retired` — the epoch the previous publish swapped out —
+/// when no reader holds it any more, so it reuses that epoch's buffers;
+/// otherwise the engine is cloned afresh and the readers keep the old
+/// epoch alive as long as they need it. Either way `retired` ends up
+/// holding the epoch this publish swapped out.
+fn publish(
+    shared: &Shared,
+    dynamic: &DynamicPrsim,
+    applied_lsn: u64,
+    retired: &mut Option<Arc<EpochSnapshot>>,
+) {
     let engine = dynamic
         .engine()
-        .expect("incremental engine is always built")
-        .clone();
+        .expect("incremental engine is always built");
+    // Only this thread advances the epoch, so it can be read ahead of
+    // the copy, which then runs without holding the progress lock.
+    let epoch = lock_recover(&shared.progress).epoch + 1;
+    let mut spare = retired.take();
+    let (next, recycled) = match spare.as_mut().and_then(Arc::get_mut) {
+        Some(snap) => {
+            snap.refresh(epoch, applied_lsn, engine);
+            (spare.expect("just refreshed"), true)
+        }
+        None => {
+            drop(spare);
+            let snap = EpochSnapshot::new(epoch, applied_lsn, engine.clone());
+            (Arc::new(snap), false)
+        }
+    };
+    *retired = Some(shared.snapshot.replace(next));
     let mut progress = lock_recover(&shared.progress);
-    let epoch = progress.epoch + 1;
-    shared
-        .snapshot
-        .publish(Arc::new(EpochSnapshot::new(epoch, applied_lsn, engine)));
+    if recycled {
+        progress.epochs_recycled += 1;
+    } else {
+        progress.epochs_cloned += 1;
+    }
     progress.epoch = epoch;
     progress.applied_lsn = applied_lsn;
     progress.totals = dynamic.totals();
+    progress.memory = dynamic.memory();
     shared.progress_cond.notify_all();
 }
 

@@ -133,8 +133,10 @@ fn run_cycle(shared: &Shared) {
     }
 
     // Paged-arena pages (the pool double-reads and heals internally).
-    let snapshot = shared.snapshot.current();
-    if let Some(pool) = snapshot.engine().index().paged_pool() {
+    // Only the pool is held across the walk: holding the snapshot would
+    // keep its epoch from being recycled by the next publish.
+    let pool = shared.snapshot.current().engine().index().paged_pool();
+    if let Some(pool) = pool {
         for page in 0..pool.page_count() {
             if shared.shutdown.load(Ordering::Acquire) {
                 break;

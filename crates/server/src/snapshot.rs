@@ -1,12 +1,17 @@
 //! Immutable epoch snapshots and the swap handle readers share.
 //!
 //! The applier thread never mutates a published engine: it repairs its
-//! own private [`prsim_core::DynamicPrsim`], clones the resulting
+//! own private [`prsim_core::DynamicPrsim`], copies the resulting
 //! [`Prsim`] (cheap — the arena, π vector, walk cache and CSR graph are
 //! flat buffers) and *swaps* the `Arc` behind [`SnapshotHandle`].
 //! Readers clone the `Arc` out and then query entirely lock-free; a
 //! reader holding epoch `e` keeps it alive for the duration of its query
 //! even while epoch `e+1` is being published.
+//!
+//! The copy lands in the epoch the previous publish retired whenever no
+//! reader still holds it (`EpochSnapshot::refresh`, which reuses its
+//! buffers), so a quiet server recycles two engine copies instead of
+//! allocating one per update.
 
 use prsim_core::{Prsim, PrsimError, QueryStats, QueryWorkspace, SimRankScores, TopEntries};
 use prsim_graph::NodeId;
@@ -32,6 +37,15 @@ impl EpochSnapshot {
             last_lsn,
             engine,
         }
+    }
+
+    /// Turns this (retired, unshared) snapshot into epoch `epoch`,
+    /// current through `last_lsn`, holding a copy of `engine` written
+    /// into the buffers it already has ([`Prsim`]'s `clone_from`).
+    pub(crate) fn refresh(&mut self, epoch: u64, last_lsn: u64, engine: &Prsim) {
+        self.epoch = epoch;
+        self.last_lsn = last_lsn;
+        self.engine.clone_from(engine);
     }
 
     /// Monotone epoch counter (1 is the boot snapshot).
@@ -126,6 +140,15 @@ impl SnapshotHandle {
     /// poisoning for the same reason as [`SnapshotHandle::current`]: the
     /// slot only ever holds a complete `Arc`.
     pub fn publish(&self, next: Arc<EpochSnapshot>) {
-        *self.slot.write().unwrap_or_else(|e| e.into_inner()) = next;
+        self.replace(next);
+    }
+
+    /// [`SnapshotHandle::publish`], returning the snapshot it retired
+    /// (which readers may still hold).
+    pub(crate) fn replace(&self, next: Arc<EpochSnapshot>) -> Arc<EpochSnapshot> {
+        std::mem::replace(
+            &mut *self.slot.write().unwrap_or_else(|e| e.into_inner()),
+            next,
+        )
     }
 }

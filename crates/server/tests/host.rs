@@ -587,3 +587,62 @@ fn drain_reports_its_final_checkpoint_or_why_there_is_none() {
     host.shutdown().unwrap();
     fs::remove_dir_all(&dir).ok();
 }
+
+/// `stats` accounts for the update path's memory: the touched records'
+/// bytes are 8 per entry of capacity (checked against a twin engine fed
+/// the same stream), and a host nobody reads from recycles the retired
+/// epoch on every publish, falling back to a clone only while a reader
+/// holds it.
+#[test]
+fn stats_account_touch_records_and_quiet_hosts_recycle_epochs() {
+    let g = test_graph();
+    let dir = tmpdir("memstats");
+    let host = EngineHost::open(&g, &dir, options()).unwrap();
+    let mut twin = prsim_core::DynamicPrsim::new_incremental(&g, options().config).unwrap();
+
+    let boot = host.stats();
+    assert_eq!(boot.memory.touch_bytes, 8 * twin.touch_sets().capacity());
+    assert!(twin.touch_sets().capacity() >= twin.touch_sets().entry_count());
+    assert!(boot.memory.graph_bytes > 0 && boot.memory.arena_live_bytes > 0);
+    assert_eq!((boot.epochs_cloned, boot.epochs_recycled), (1, 0));
+
+    for batch in batches(&g, 6) {
+        for &update in &batch {
+            twin.apply(update).unwrap();
+        }
+        host.update(batch).unwrap();
+        host.sync().unwrap();
+    }
+    let quiet = host.stats();
+    assert_eq!(quiet.memory.touch_bytes, 8 * twin.touch_sets().capacity());
+    // Which worker searches which hub varies with scheduling, so the
+    // scratch and arena capacities may differ from the twin's; the
+    // records and the graph may not.
+    assert_eq!(quiet.memory.graph_bytes, twin.memory().graph_bytes);
+    assert!(quiet.memory.update_scratch_bytes > 0);
+    // The first publish has no retired epoch to reuse; every later one
+    // recycles the epoch its predecessor retired.
+    assert_eq!((quiet.epochs_cloned, quiet.epochs_recycled), (2, 5));
+    let line = quiet.render();
+    for key in [
+        "mem_touch_bytes=",
+        "mem_epochs_recycled=5",
+        "mem_epochs_cloned=2",
+    ] {
+        assert!(line.contains(key), "{key} missing from {line}");
+    }
+
+    // A reader holding the current epoch: the next publish still recycles
+    // (it reuses the older retired epoch), the one after must clone.
+    let held = host.snapshot();
+    for batch in batches(&g, 8).into_iter().skip(6) {
+        host.update(batch).unwrap();
+        host.sync().unwrap();
+    }
+    let busy = host.stats();
+    assert_eq!((busy.epochs_cloned, busy.epochs_recycled), (3, 6));
+    assert!(held.epoch() < busy.epoch, "the held epoch stays readable");
+    drop(held);
+    host.shutdown().unwrap();
+    let _ = fs::remove_dir_all(&dir);
+}
